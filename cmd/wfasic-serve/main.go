@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/integrity"
 	"repro/internal/serve"
 )
 
@@ -67,7 +68,9 @@ func main() {
 		TenantRate:      *tenantRate,
 		DefaultTimeout:  *timeout,
 	}
-	cfg.Resilient.VerifyScores = *verify
+	if *verify {
+		cfg.Resilient.Verify = integrity.Policy{Mode: integrity.ModeFull}
+	}
 
 	var err error
 	switch {

@@ -1,17 +1,16 @@
 // Command wfasic-vet runs the repo's project-specific static analyzers over
-// the module: determinism (cycle-stepped code must be reproducible),
-// panicpolicy (assert via internal/invariant, not raw panic), magicoffset
-// (named register/beat constants, not literals), errpath (exported
-// error-returning functions must not swallow callee errors), tickphase
-// (Tick/Step methods follow the two-phase next-state discipline), regmap
-// (register constants, annotations, switch arms and the soc driver agree),
-// the interprocedural trio built on the package-set call graph — isolation
-// (nothing reachable from the simulator API touches package-level mutable
-// state), deepdeterminism (the determinism bans propagated transitively
-// from Tick/Step/Run), perfmono (counter writes are monotone outside reset
-// paths), hotalloc (no allocation constructs reachable from the steady-state
-// roots outside annotated cold paths) — and suppress (//vet:allow comments
-// must still mask a finding).
+// the module: panicpolicy (assert via internal/invariant, not raw panic),
+// magicoffset (named register/beat constants, not literals), errpath
+// (exported error-returning functions must not swallow callee errors),
+// tickphase (Tick/Step methods follow the two-phase next-state discipline),
+// regmap (register constants, annotations, switch arms and the soc driver
+// agree), the interprocedural analyzers built on the package-set call graph —
+// determinism (everything reachable from the cycle-stepped packages and from
+// Tick/Step/Run must be reproducible), isolation (nothing reachable from the
+// simulator API touches package-level mutable state), perfmono (counter
+// writes are monotone outside reset paths), hotalloc (no allocation
+// constructs reachable from the steady-state roots outside annotated cold
+// paths) — and suppress (//vet:allow comments must still mask a finding).
 //
 // Usage:
 //

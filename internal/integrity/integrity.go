@@ -17,7 +17,7 @@
 //     realigning.
 //  3. Deterministic sampled shadow verification (Sample): a seeded hash of
 //     the pair ID selects a fixed fraction of pairs for a full software-WFA
-//     re-check, replacing the all-or-nothing VerifyScores oracle.
+//     re-check, a cheaper alternative to checking every pair (ModeFull).
 //
 // Every witness is sound: it never rejects a result genuine hardware can
 // produce, so a witness rejection is always evidence of corruption (or of a
@@ -71,8 +71,7 @@ const (
 	// ModeSampled runs the witnesses plus a full software-WFA shadow
 	// verification on a deterministic Rate-sized sample of pairs.
 	ModeSampled
-	// ModeFull runs the witnesses plus the software oracle on every pair
-	// (the legacy VerifyScores behavior).
+	// ModeFull runs the witnesses plus the software oracle on every pair.
 	ModeFull
 )
 

@@ -2,9 +2,9 @@ package lint
 
 // This file builds the interprocedural layer of wfasic-vet: a package-set
 // call graph over go/types with a direct effect summary per function. The
-// graph powers the isolation, deepdeterminism and perfmono analyzers
-// (isolation.go, deepdeterminism.go, perfmono.go) and is dumpable as a
-// deterministic JSON artifact (effects.go) so CI can diff it.
+// graph powers the determinism, isolation, perfmono and hotalloc analyzers
+// (determinism.go, isolation.go, perfmono.go, hotalloc.go) and is dumpable
+// as a deterministic JSON artifact (effects.go) so CI can diff it.
 //
 // Construction is a class-hierarchy-style approximation, tuned to err on the
 // side of extra edges without exploding:

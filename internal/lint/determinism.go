@@ -60,84 +60,85 @@ var portMethodNames = map[string]bool{
 }
 
 // Determinism flags wall-clock time, global math/rand state, goroutine
-// launches, and state-mutating map iteration inside cycle-stepped code: the
-// whole of internal/sim, internal/core and internal/mem, plus every Step/Tick
-// method anywhere in the tree. The simulator's contract is that a
-// (config, input, seed) triple reproduces the same cycle count and the same
-// output bytes on every run; any of these constructs silently breaks that.
+// launches and state-mutating map iteration in cycle-stepped code. The
+// simulator's contract is that a (config, input, seed) triple reproduces the
+// same cycle count and the same output bytes on every run; any of these
+// constructs silently breaks that.
+//
+// Cycle-stepped code is everything the call graph reaches from three kinds
+// of root: every function of the cycle-stepped packages (internal/sim,
+// internal/core, internal/mem, internal/fault), every Step/Tick method
+// anywhere in the tree, and the exported Run functions and methods of the
+// cycle-stepped packages (the batch drivers that own the simulation loop).
+// A helper in internal/wfa that calls time.Now() two hops below Machine.Tick
+// is therefore flagged, with a witness chain back to its root.
 func Determinism() *Analyzer {
 	return &Analyzer{
-		Name: "determinism",
-		Doc:  "cycle-stepped code must not read the clock, use global math/rand, spawn goroutines, or mutate state from map iteration",
-		Run:  runDeterminism,
+		Name:     "determinism",
+		Doc:      "code reachable from cycle-stepped packages and Tick/Step/Run must not read the clock, use global math/rand, spawn goroutines, or mutate state from map iteration",
+		RunGraph: runDeterminism,
 	}
 }
 
-func runDeterminism(p *Package) []Diagnostic {
-	whole := false
-	for _, suffix := range cycleSteppedSuffixes {
-		if p.ImportPath == suffix || strings.HasSuffix(p.ImportPath, "/"+suffix) {
-			whole = true
-			break
+// determinismRoots returns the per-cycle entry points — Step/Tick methods and
+// the cycle-stepped packages' exported Run functions — and, separately, the
+// remaining declared functions of the cycle-stepped packages.
+func determinismRoots(g *CallGraph) (entries, pkgFuncs []*FuncNode) {
+	for _, n := range g.SortedNodes() {
+		if n.Decl == nil {
+			continue
+		}
+		cycle := isCycleSteppedPath(n.Pkg.ImportPath)
+		switch {
+		case isStepMethod(n.Decl), cycle && n.Name == "Run" && n.Exported:
+			entries = append(entries, n)
+		case cycle:
+			pkgFuncs = append(pkgFuncs, n)
 		}
 	}
+	return entries, pkgFuncs
+}
 
+func runDeterminism(g *CallGraph, _ []*Package) []Diagnostic {
+	entries, pkgFuncs := determinismRoots(g)
+	// onTick is the subset that runs on every simulated cycle. There even a
+	// locally seeded source is a second randomness stream whose draw order
+	// the fault schedule cannot account for; elsewhere in a cycle-stepped
+	// package an explicitly seeded rand.New is the sanctioned form.
+	onTick := Reach(entries)
+	reach := Reach(append(entries, pkgFuncs...))
 	var out []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !whole && !isStepMethod(fd) {
-				continue
-			}
-			where := "cycle-stepped package " + p.Name
-			if !whole {
-				where = fd.Name.Name + " method"
-			}
-			recv := receiverIdent(fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					out = append(out, p.diag(n,
-						"goroutine launched in %s: cycle-stepped code must be single-threaded so cycle counts are reproducible", where))
-				case *ast.RangeStmt:
-					if p.isMapRange(n) && rangeBodyMutatesState(n.Body, recv) {
-						out = append(out, p.diag(n,
-							"range over map in %s mutates simulator state: map iteration order is nondeterministic and breaks bit-reproducibility — iterate sorted keys instead", where))
-					}
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					id, ok := sel.X.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					switch path := p.pkgPathOf(f, id); path {
-					case "time":
-						if timeNondet[sel.Sel.Name] {
-							out = append(out, p.diag(n,
-								"time.%s in %s: simulated cycles must not depend on the wall clock", sel.Sel.Name, where))
-						}
-					case "math/rand", "math/rand/v2":
-						switch {
-						case !randConstructors[sel.Sel.Name]:
-							out = append(out, p.diag(n,
-								"global rand.%s in %s: use an explicitly seeded rand.New(...) owned by the component", sel.Sel.Name, where))
-						case isStepMethod(fd) && !isFaultPkg(p):
-							// Even a locally seeded source inside a Tick/Step
-							// method is a second randomness stream whose draw
-							// order the fault schedule cannot account for.
-							out = append(out, p.diag(n,
-								"rand.%s constructed in %s: the seeded PRNG in internal/fault is the only sanctioned randomness source on a Tick path — consult a fault.Injector hook instead", sel.Sel.Name, where))
-						}
-					}
+	for _, n := range reach.Sorted() {
+		tick := onTick.Contains(n)
+		chain := reach.Witness(n)
+		if tick {
+			chain = onTick.Witness(n)
+		}
+		for _, pos := range n.Effects.Goroutines {
+			out = append(out, diagAt(n.Pkg, pos,
+				"goroutine launched in cycle-stepped code: execution must be single-threaded so cycle counts are reproducible (via %s)", chain))
+		}
+		for _, pos := range n.Effects.MapRangeMuts {
+			out = append(out, diagAt(n.Pkg, pos,
+				"range over map mutates simulator state: map iteration order is nondeterministic and breaks bit-reproducibility — iterate sorted keys instead (via %s)", chain))
+		}
+		for _, ec := range n.Effects.External {
+			switch ec.Path {
+			case "time":
+				if timeNondet[ec.Name] {
+					out = append(out, diagAt(n.Pkg, ec.Pos,
+						"time.%s in cycle-stepped code: simulated cycles must not depend on the wall clock (via %s)", ec.Name, chain))
 				}
-				return true
-			})
+			case "math/rand", "math/rand/v2":
+				switch {
+				case !randConstructors[ec.Name]:
+					out = append(out, diagAt(n.Pkg, ec.Pos,
+						"global rand.%s in cycle-stepped code: use an explicitly seeded source, never the shared global stream (via %s)", ec.Name, chain))
+				case tick && !isFaultPkg(n.Pkg):
+					out = append(out, diagAt(n.Pkg, ec.Pos,
+						"rand.%s constructed on a Tick/Step path: the seeded PRNG in internal/fault is the only sanctioned randomness source there — consult a fault.Injector hook instead (via %s)", ec.Name, chain))
+				}
+			}
 		}
 	}
 	return out

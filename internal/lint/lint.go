@@ -7,7 +7,9 @@
 //
 //   - determinism: cycle-stepped simulator code must stay bit-reproducible —
 //     no wall-clock time, no global math/rand, no goroutines, no map
-//     iteration that mutates simulator state.
+//     iteration that mutates simulator state — in the cycle-stepped
+//     packages, in every Tick/Step method, and in everything the call graph
+//     reaches from them or from the cycle-stepped Run entry points.
 //   - panicpolicy: library code asserts through internal/invariant, never
 //     through raw panic().
 //   - magicoffset: register offsets and beat-sized buffers use the named
@@ -25,8 +27,6 @@
 //   - isolation: no function reachable from the cycle-stepped simulator API
 //     reads or writes package-level mutable state — the static precondition
 //     for running fleets of Machines with zero locks (callgraph.go).
-//   - deepdeterminism: the determinism bans, propagated transitively through
-//     the call graph to everything reachable from Tick/Step/Run.
 //   - perfmono: writes to perf-registered counter fields reachable from the
 //     simulator are monotone (+=/++ with non-negative operands) outside the
 //     annotated reset paths.
@@ -61,8 +61,8 @@ type Diagnostic struct {
 
 // Analyzer is one named check. Run inspects a single package; RunModule (for
 // cross-artifact checks like regmap) sees every loaded package at once;
-// RunGraph (for the interprocedural checks: isolation, deepdeterminism,
-// perfmono) additionally receives the package-set call graph, built once per
+// RunGraph (for the interprocedural checks: determinism, isolation,
+// perfmono, hotalloc) additionally receives the package-set call graph, built once per
 // CheckModule invocation and shared. The suppress analyzer has none of the
 // three: it is evaluated by CheckModule itself, after all other findings
 // exist.
@@ -85,7 +85,6 @@ func All() []*Analyzer {
 		RegMap(),
 		DocComment(),
 		Isolation(),
-		DeepDeterminism(),
 		PerfMono(),
 		Hotalloc(),
 		Suppress(),

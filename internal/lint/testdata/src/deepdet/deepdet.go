@@ -1,8 +1,8 @@
-// Package deepdet seeds transitive determinism violations for the
-// deepdeterminism analyzer tests. Every offense sits in a helper the direct
-// determinism analyzer never looks at (this package is not cycle-stepped and
-// the helpers are not Step/Tick methods); only the call graph connects them
-// to the Tick root. The unreached function proves reachability gating.
+// Package deepdet seeds transitive violations for the determinism analyzer
+// tests. Every offense sits in a helper outside any cycle-stepped package and
+// outside any Step/Tick body (this package is not cycle-stepped and the
+// helpers are not Step/Tick methods); only the call graph connects them to
+// the Tick root. The unreached function proves reachability gating.
 package deepdet
 
 import (
@@ -11,15 +11,15 @@ import (
 )
 
 // Clock is the fixture's cycle-stepped component: its Tick method is a
-// deepdeterminism root.
+// determinism root.
 type Clock struct {
 	cycle int64
 	seen  map[string]int64
 	log   []int64
 }
 
-// Tick is the root; its own body stays clean (the direct analyzer covers
-// Tick bodies), fanning out into the offending helpers.
+// Tick is the root; its own body stays clean, fanning out into the
+// offending helpers.
 func (c *Clock) Tick() {
 	c.cycle++
 	c.stamp()

@@ -49,6 +49,12 @@ func (m *Memory) Write(addr int64, b []byte) {
 	copy(m.data[addr:addr+int64(len(b))], b)
 }
 
+// Zero clears n bytes at addr in place (CPU-style access, allocation-free).
+func (m *Memory) Zero(addr int64, n int) {
+	m.check(addr, n)
+	clear(m.data[addr : addr+int64(n)])
+}
+
 // View returns a bounds-checked window over the backing store without
 // copying. Callers must treat it as read-only; the resilient driver's
 // readback audit uses it so checksumming the input image allocates nothing.

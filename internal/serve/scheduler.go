@@ -136,7 +136,6 @@ func (s *Server) runDeviceBatch(d *device, b *batch) (good bool) {
 	d.batchSeq++
 	opts.Verify.Seed ^= uint64(d.id)<<32 ^ d.batchSeq*0x9E3779B97F4A7C15
 	if opts.Verify.Mode != integrity.ModeOff && d.suspicion >= s.cfg.SDCEscalateThreshold {
-		opts.VerifyScores = false
 		opts.Verify = integrity.Policy{Mode: integrity.ModeFull}
 		s.metrics.SDCEscalations.Add(1)
 	}
@@ -239,7 +238,7 @@ func (s *Server) softwareLoop() {
 
 // runSoftwareTask answers one pair with the pure-software WFA —
 // soc.SoftwareAlign, the same function the resilient fallback and the
-// VerifyScores oracle use, which is what makes the software tier
+// ModeFull shadow oracle use, which is what makes the software tier
 // answer-for-answer interchangeable with the hardware path.
 func (s *Server) runSoftwareTask(t *task) {
 	if t.expired() {

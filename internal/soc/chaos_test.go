@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/integrity"
 )
 
 // The chaos campaigns submit one input set through RunResilient under a
@@ -63,7 +64,7 @@ func TestChaosCampaigns(t *testing.T) {
 			name: "silent-corruption-bt",
 			fc: fault.Config{Seed: 202, DataFlipProb: 0.01, WavefrontFlipProb: 0.002,
 				OutputFlipProb: 0.05, OutputDropProb: 0.02},
-			opts: ResilientOptions{Backtrace: true, VerifyScores: true},
+			opts: ResilientOptions{Backtrace: true, Verify: integrity.Policy{Mode: integrity.ModeFull}},
 		},
 		{
 			// Every completion interrupt is dropped: WaitIRQ reports
@@ -119,7 +120,7 @@ func TestChaosCampaigns(t *testing.T) {
 				DataFlipProb: 0.005, WavefrontFlipProb: 0.001,
 				OutputFlipProb: 0.01, OutputDropProb: 0.005,
 				IRQDropProb: 0.5, IRQSpuriousProb: 0.001},
-			opts:     ResilientOptions{UseIRQ: true, VerifyScores: true},
+			opts:     ResilientOptions{UseIRQ: true, Verify: integrity.Policy{Mode: integrity.ModeFull}},
 			watchdog: 3000,
 		},
 	}
@@ -196,7 +197,7 @@ func TestChaosDeterminism(t *testing.T) {
 		DataFlipProb: 0.005, WavefrontFlipProb: 0.002,
 		OutputFlipProb: 0.01, OutputDropProb: 0.01,
 		IRQDropProb: 0.5, IRQSpuriousProb: 0.001}
-	opts := ResilientOptions{UseIRQ: true, VerifyScores: true}
+	opts := ResilientOptions{UseIRQ: true, Verify: integrity.Policy{Mode: integrity.ModeFull}}
 	run := func() (*ResilientReport, string) {
 		cfg := testConfig()
 		cfg.WatchdogCycles = 3000

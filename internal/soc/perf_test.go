@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/integrity"
 )
 
 // TestReportPerfWindow proves the driver-visible perf window end to end: the
@@ -79,7 +80,7 @@ func TestChaosPerfDeterminism(t *testing.T) {
 		if err := s.EnableFaults(fc); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.RunResilient(testSet(5, 160, 0.07), ResilientOptions{UseIRQ: true, VerifyScores: true})
+		rep, err := s.RunResilient(testSet(5, 160, 0.07), ResilientOptions{UseIRQ: true, Verify: integrity.Policy{Mode: integrity.ModeFull}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,8 +25,8 @@ const (
 	// DefaultMaxAttempts is the reset-and-resubmit bound when
 	// ResilientOptions.MaxAttempts is zero.
 	DefaultMaxAttempts = 3
-	// DefaultRunMaxCycles is the per-attempt cycle budget when
-	// ResilientOptions.MaxCycles is zero.
+	// DefaultRunMaxCycles is the per-run cycle budget when
+	// RunOptions.MaxCycles or ResilientOptions.MaxCycles is zero.
 	DefaultRunMaxCycles = 100_000_000_000
 	// maxBackoffShift caps the exponential reset-backoff doubling so the
 	// shift can never overflow (backoff plateaus after 20 retries).
@@ -66,11 +66,6 @@ type ResilientOptions struct {
 	// UseIRQ completes attempts through the interrupt path instead of
 	// polling, exercising the lost-IRQ recovery.
 	UseIRQ bool
-	// VerifyScores is the legacy all-or-nothing oracle switch: it maps to
-	// Verify.Mode = integrity.ModeFull (every hardware result cross-checked
-	// against the software WFA). Setting it together with an explicit
-	// non-full Verify mode is a conflict and rejected by Validate.
-	VerifyScores bool
 	// Verify selects the integrity-verification policy (internal/integrity):
 	// the zero value is ModeWitness — cheap per-pair witnesses, hardware SDC
 	// evidence discard and the post-job readback audit are ON by default and
@@ -135,15 +130,6 @@ func (o ResilientOptions) resolve() (resilientParams, error) {
 	p.verifyMode = o.Verify.Mode
 	p.permyriad = o.Verify.Permyriad()
 	p.verifySeed = o.Verify.Seed
-	if o.VerifyScores {
-		switch o.Verify.Mode {
-		case integrity.ModeWitness, integrity.ModeFull:
-			// The legacy switch selects (or confirms) the full oracle.
-			p.verifyMode = integrity.ModeFull
-		default:
-			return p, fmt.Errorf("soc: VerifyScores conflicts with Verify.Mode %v", o.Verify.Mode)
-		}
-	}
 	return p, nil
 }
 
@@ -240,7 +226,7 @@ func pairSupported(cfg core.Config, p seqio.Pair) bool {
 // submits the set to the accelerator, classifies failures through the
 // driver's sentinel errors, retries with reset-and-resubmit up to
 // MaxAttempts, validates every per-pair result against the Config penalty
-// bounds (and the software oracle when VerifyScores is set), and finally
+// bounds (and the software oracle as the Verify policy selects), and finally
 // degrades to the pure-software WFA for any pair the hardware could not
 // deliver. The returned report always covers every input pair.
 func (s *SoC) RunResilient(set *seqio.InputSet, opts ResilientOptions) (*ResilientReport, error) {
@@ -696,7 +682,7 @@ func (s *SoC) alignSoftware(p seqio.Pair, withCIGAR bool) swResult {
 // software: unsupported reads (over the hardware cap or containing unknown
 // bases) fail with Success = false, everything else runs the WFA under the
 // hardware's k_max window. It is the one definition of "the right answer"
-// shared by the resilient fallback, the VerifyScores oracle and the
+// shared by the resilient fallback, the Verify shadow oracle and the
 // software-worker tier of internal/serve — which is what makes the hardware
 // and software paths interchangeable pair-by-pair.
 func SoftwareAlign(cfg core.Config, p seqio.Pair, withCIGAR bool) (align.Result, cpumodel.WFAStats) {
@@ -717,11 +703,11 @@ func SoftwareAlign(cfg core.Config, p seqio.Pair, withCIGAR bool) (align.Result,
 	}
 }
 
-// zeroFrom clears main memory from addr to the end.
+// zeroFrom clears main memory from addr to the end, in place.
 func (s *SoC) zeroFrom(addr int64) {
 	n := s.Memory.Size() - int(addr)
 	if n <= 0 {
 		return
 	}
-	s.Memory.Write(addr, make([]byte, n))
+	s.Memory.Zero(addr, n)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/integrity"
 	"repro/internal/seqgen"
 )
 
@@ -45,6 +46,8 @@ func TestResilientOptionsValidate(t *testing.T) {
 		{"negative-backoff", ResilientOptions{ResetBackoff: -3}, "ResetBackoff"},
 		{"wall-retries-cannot-bind", ResilientOptions{MaxAttempts: 3, MaxWallRetries: 3}, "never bind"},
 		{"wall-retries-on-single-attempt", ResilientOptions{MaxAttempts: 1, MaxWallRetries: 1}, "never bind"},
+		{"verify-full", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeFull}}, ""},
+		{"verify-policy-invalid", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeSampled}}, "sampled rate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,7 +23,7 @@ func silentChaos(seed uint64) fault.Config {
 }
 
 // TestChaosSilentZeroWrongAnswers is the SDC defense's driver-level
-// acceptance bar: silent faults on, the all-or-nothing VerifyScores oracle
+// acceptance bar: silent faults on, the all-or-nothing ModeFull oracle
 // OFF, shadow verification sampling at most 5% — and still every delivered
 // outcome equals the software WFA's answer exactly, attempt after attempt,
 // because the hardware evidence gates (ingest CRC, wavefront parity, output
@@ -99,34 +99,6 @@ func TestChaosSilentZeroWrongAnswers(t *testing.T) {
 	}
 	if evidence == 0 {
 		t.Fatal("no campaign produced any integrity evidence: the silent faults never landed")
-	}
-}
-
-// TestVerifyScoresPolicyConflict pins the legacy-switch mapping: VerifyScores
-// composes with the default and full policies (selecting ModeFull) and
-// conflicts with an explicit partial policy.
-func TestVerifyScoresPolicyConflict(t *testing.T) {
-	ok := []ResilientOptions{
-		{VerifyScores: true},
-		{VerifyScores: true, Verify: integrity.Policy{Mode: integrity.ModeFull}},
-		{Verify: integrity.Policy{Mode: integrity.ModeSampled, Rate: 0.05}},
-		{Verify: integrity.Policy{Mode: integrity.ModeOff}},
-	}
-	for _, o := range ok {
-		if err := o.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", o, err)
-		}
-	}
-	bad := []ResilientOptions{
-		{VerifyScores: true, Verify: integrity.Policy{Mode: integrity.ModeOff}},
-		{VerifyScores: true, Verify: integrity.Policy{Mode: integrity.ModeSampled, Rate: 0.05}},
-		{Verify: integrity.Policy{Mode: integrity.ModeSampled}},          // sampled needs a rate
-		{Verify: integrity.Policy{Mode: integrity.ModeWitness, Rate: 1}}, // rate without sampling
-	}
-	for _, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Errorf("Validate(%+v) succeeded, want error", o)
-		}
 	}
 }
 

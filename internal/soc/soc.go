@@ -81,8 +81,8 @@ type RunOptions struct {
 	// single-Aligner hardware (the Figure 11 "[Sep]" configurations). With
 	// more than one Aligner separation is always used.
 	SeparateData bool
-	// MaxCycles bounds the simulation (hang protection); 0 means a large
-	// default.
+	// MaxCycles bounds the simulation (hang protection); 0 means
+	// DefaultRunMaxCycles.
 	MaxCycles int64
 }
 
@@ -124,7 +124,7 @@ func (s *SoC) RunAccelerated(set *seqio.InputSet, opts RunOptions) (*Report, err
 	}
 	maxCycles := opts.MaxCycles
 	if maxCycles <= 0 {
-		maxCycles = 100_000_000_000
+		maxCycles = DefaultRunMaxCycles
 	}
 	var cycles int64
 	if err := s.protectOOM(func() error {

@@ -63,6 +63,40 @@ func TestAcceleratedMatchesCPU(t *testing.T) {
 	}
 }
 
+// TestZeroFromInPlace pins the wipe RunResilient does before every attempt:
+// afterwards every byte from the output address to the end of memory is
+// zero, the bytes below it are untouched, and the wipe allocates nothing.
+func TestZeroFromInPlace(t *testing.T) {
+	s, err := New(testConfig(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const addr = 0x1230
+	data := s.Memory.Bytes()
+	dirty := func() {
+		for i := range data {
+			data[i] = 0xA5
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() {
+		dirty()
+		s.zeroFrom(addr)
+	}); allocs != 0 {
+		t.Errorf("zeroFrom allocated %.0f times per call, want 0", allocs)
+	}
+	dirty()
+	s.zeroFrom(addr)
+	for i, b := range data {
+		want := byte(0)
+		if i < addr {
+			want = 0xA5
+		}
+		if b != want {
+			t.Fatalf("byte %#x = %#x after zeroFrom(%#x), want %#x", i, b, addr, want)
+		}
+	}
+}
+
 func TestAcceleratedBacktraceCIGARs(t *testing.T) {
 	cfg := testConfig()
 	s, err := New(cfg, 1<<24)

@@ -1,10 +1,10 @@
-// Package swg implements the classic dynamic-programming baselines of the
-// paper's Section 2: the gap-linear Smith-Waterman recurrence (Equation 1)
-// and the gap-affine Smith-Waterman-Gotoh recurrence (Equation 2), both in
-// the global, error-minimizing form the paper uses. SWG computes the full
-// O(n*m) DP-matrix and is the functional oracle the WFA implementation and
-// the accelerator simulator are verified against: the WFA is exact, so all
-// three must report identical scores.
+// Package swg implements the classic dynamic-programming baseline of the
+// paper's Section 2: the gap-affine Smith-Waterman-Gotoh recurrence
+// (Equation 2) in the global, error-minimizing form the paper uses. With
+// GapOpen 0 it scores the gap-linear model of Equation 1. SWG computes the
+// full O(n*m) DP-matrix and is the functional oracle the WFA implementation
+// and the accelerator simulator are verified against: the WFA is exact, so
+// all three must report identical scores.
 package swg
 
 import (

@@ -98,48 +98,6 @@ func TestStatsCells(t *testing.T) {
 	}
 }
 
-func TestLinearKnownScores(t *testing.T) {
-	p := LinearPenalties{Mismatch: 4, Gap: 2}
-	cases := []struct {
-		a, b  string
-		score int
-	}{
-		{"ACGT", "ACGT", 0},
-		{"ACGT", "ACTT", 4},
-		{"ACGT", "AGT", 2},
-		{"AAAA", "", 8},
-		{"AC", "CA", 4}, // 2 gaps (ins+del) cost 4 == 1 mismatch... both optimal at 4
-	}
-	for _, tc := range cases {
-		res, _ := LinearAlign([]byte(tc.a), []byte(tc.b), p)
-		if res.Score != tc.score {
-			t.Errorf("LinearAlign(%q,%q)=%d want %d", tc.a, tc.b, res.Score, tc.score)
-		}
-		if err := res.CIGAR.Validate([]byte(tc.a), []byte(tc.b)); err != nil {
-			t.Errorf("LinearAlign(%q,%q): %v", tc.a, tc.b, err)
-		}
-		sc, _ := LinearScore([]byte(tc.a), []byte(tc.b), p)
-		if sc != tc.score {
-			t.Errorf("LinearScore(%q,%q)=%d want %d", tc.a, tc.b, sc, tc.score)
-		}
-	}
-}
-
-func TestLinearEqualsAffineWhenOpenIsZero(t *testing.T) {
-	// With o=0, gap-affine degenerates to gap-linear with g=e.
-	g := seqgen.New(8, 8)
-	affine := align.Penalties{Mismatch: 3, GapOpen: 0, GapExtend: 2}
-	linear := LinearPenalties{Mismatch: 3, Gap: 2}
-	for trial := 0; trial < 20; trial++ {
-		pair := g.Pair(0, 40+trial*9, 0.12)
-		sa, _ := Score(pair.A, pair.B, affine)
-		sl, _ := LinearScore(pair.A, pair.B, linear)
-		if sa != sl {
-			t.Fatalf("trial %d: affine(o=0)=%d linear=%d", trial, sa, sl)
-		}
-	}
-}
-
 func TestRandomPenaltiesBruteForceTiny(t *testing.T) {
 	// Cross-check SWG against an exhaustive alignment search on tiny inputs.
 	rng := rand.New(rand.NewPCG(3, 9))
@@ -151,17 +109,31 @@ func TestRandomPenaltiesBruteForceTiny(t *testing.T) {
 		}
 		return s
 	}
-	for trial := 0; trial < 40; trial++ {
-		p := align.Penalties{
-			Mismatch:  1 + rng.IntN(5),
-			GapOpen:   rng.IntN(5),
-			GapExtend: 1 + rng.IntN(3),
-		}
+	check := func(p align.Penalties) {
+		t.Helper()
 		a, b := seq(rng.IntN(7)), seq(rng.IntN(7))
 		got, _ := Score(a, b, p)
 		want := bruteForceScore(a, b, p)
 		if got != want {
 			t.Fatalf("SWG=%d brute=%d for a=%q b=%q %v", got, want, a, b, p)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		check(align.Penalties{
+			Mismatch:  1 + rng.IntN(5),
+			GapOpen:   rng.IntN(5),
+			GapExtend: 1 + rng.IntN(3),
+		})
+	}
+	// GapOpen 0 degenerates gap-affine to the gap-linear model of Equation 1;
+	// it is pinned here so the case never depends on the PCG drawing a zero.
+	for _, p := range []align.Penalties{
+		{Mismatch: 3, GapOpen: 0, GapExtend: 2},
+		{Mismatch: 1, GapOpen: 0, GapExtend: 1},
+		{Mismatch: 4, GapOpen: 0, GapExtend: 3},
+	} {
+		for trial := 0; trial < 10; trial++ {
+			check(p)
 		}
 	}
 }

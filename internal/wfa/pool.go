@@ -26,12 +26,8 @@ type Pool struct {
 }
 
 // Acquire returns an all-invalid wavefront spanning [lo, hi], reusing pooled
-// storage when a freed wavefront is available. A nil pool degrades to plain
-// allocation so stores built without an Aligner (LinearAlign) keep working.
+// storage when a freed wavefront is available.
 func (p *Pool) Acquire(lo, hi int) *Wavefront {
-	if p == nil {
-		return NewWavefront(lo, hi)
-	}
 	n := hi - lo + 1
 	if n < 0 {
 		n = 0
@@ -73,12 +69,12 @@ func (p *Pool) Acquire(lo, hi int) *Wavefront {
 	return w
 }
 
-// Release returns a dead wavefront to the free list. nil pools and nil
-// wavefronts are ignored so callers can release unconditionally. The append
+// Release returns a dead wavefront to the free list. nil wavefronts are
+// ignored so callers can release unconditionally. The append
 // is amortized: acquire truncate-reslices the same backing array, so hotalloc
 // treats free as sanctioned scratch.
 func (p *Pool) Release(w *Wavefront) {
-	if p == nil || w == nil {
+	if w == nil {
 		return
 	}
 	p.free = append(p.free, w)

@@ -123,16 +123,14 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 	}
 	if al.opts.WithCIGAR {
 		if al.full == nil {
-			al.full = newFullStore(maxScore)
-			al.full.pool = &al.pool
+			al.full = newFullStore(maxScore, &al.pool)
 		} else {
 			al.full.reset(maxScore)
 		}
 		al.store = al.full
 	} else {
 		if al.ring == nil || al.ring.window != window+1 {
-			al.ring = newRingStore(window + 1)
-			al.ring.pool = &al.pool
+			al.ring = newRingStore(window+1, &al.pool)
 		} else {
 			al.ring.reset()
 		}
@@ -438,8 +436,8 @@ type fullStore struct {
 	pool *Pool
 }
 
-func newFullStore(maxScore int) *fullStore {
-	st := &fullStore{}
+func newFullStore(maxScore int, pool *Pool) *fullStore {
+	st := &fullStore{pool: pool}
 	for c := range st.wfs {
 		st.wfs[c] = make([]*Wavefront, maxScore+1)
 	}
@@ -512,8 +510,8 @@ func (st *ringStore) reset() {
 	}
 }
 
-func newRingStore(window int) *ringStore {
-	st := &ringStore{window: window, score: make([]int, window)}
+func newRingStore(window int, pool *Pool) *ringStore {
+	st := &ringStore{window: window, score: make([]int, window), pool: pool}
 	for i := range st.score {
 		st.score[i] = -1
 	}

@@ -6,8 +6,8 @@
 #   2. go vet       the stock toolchain analyzers
 #   3. wfasic-vet   the project-specific analyzers (determinism, panicpolicy,
 #                   magicoffset, errpath, tickphase, regmap, doccomment,
-#                   isolation, deepdeterminism, perfmono, hotalloc, suppress —
-#                   see internal/lint), ratcheted against vet-baseline.json:
+#                   isolation, perfmono, hotalloc, suppress — see
+#                   internal/lint), ratcheted against vet-baseline.json:
 #                   new findings and stale baseline entries fail
 #   4. callgraph    the interprocedural call graph and the hotalloc allocation
 #                   map each dump byte-identically twice in a row (the CI
@@ -17,6 +17,10 @@
 #   6. go test -race  the full suite under the race detector (the bench
 #                     package takes a few minutes under -race; use
 #                     SKIP_RACE=1 for a quick non-race pass)
+#   7. hostbench    the host-plane benchmark is its own module (replace
+#                   repro => ../), so steps 2-6 never compile it: vet and
+#                   test it separately so an API change cannot break it
+#                   unnoticed
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,6 +63,9 @@ else
     echo "== go test -race =="
     go test -race ./...
 fi
+
+echo "== hostbench module (go vet + go test) =="
+(cd hostbench && go vet . && go test .)
 
 # The suite above runs in the default event-skipping mode (WFASIC_SIM_MODE
 # unset => skip). Re-running the golden-bearing packages under the naive
