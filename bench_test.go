@@ -5,7 +5,7 @@
 //
 // Each BenchmarkTable*/BenchmarkFigure* runs the corresponding experiment of
 // internal/bench and reports the headline quantities as custom metrics
-// (cycles, speedups, GCUPS). The Benchmark{WFA,SWG,Machine,BTDecode}*
+// (cycles, speedups, GCUPS). The Benchmark{WFA,SoftwareAlign,SWG,Machine,BTDecode}*
 // benchmarks measure the underlying engines directly. The full tables are
 // printed by cmd/wfasic-bench.
 package repro_test
@@ -167,6 +167,41 @@ func BenchmarkWFABacktrace(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSoftwareAlign measures the per-pair software tier on the chip
+// configuration, one-shot (soc.SoftwareAlign builds a fresh aligner every
+// pair) against reused (one soc.SoftwareAligner across pairs, as the serve
+// software workers and each SoC's fallback run it), score-only and with
+// CIGAR.
+func BenchmarkSoftwareAlign(b *testing.B) {
+	cfg := core.ChipConfig()
+	for _, s := range microSets[:2] {
+		p := microPair(s.length, s.rate)
+		for _, withCIGAR := range []bool{false, true} {
+			mode := "score"
+			if withCIGAR {
+				mode = "cigar"
+			}
+			b.Run(s.name+"/"+mode+"/one-shot", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if res, _ := soc.SoftwareAlign(cfg, p, withCIGAR); !res.Success {
+						b.Fatal("alignment failed")
+					}
+				}
+			})
+			b.Run(s.name+"/"+mode+"/reused", func(b *testing.B) {
+				b.ReportAllocs()
+				sa := soc.NewSoftwareAligner(cfg)
+				for i := 0; i < b.N; i++ {
+					if res, _ := sa.Align(p, withCIGAR); !res.Success {
+						b.Fatal("alignment failed")
+					}
+				}
+			})
+		}
 	}
 }
 

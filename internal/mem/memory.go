@@ -11,8 +11,18 @@ import "repro/internal/invariant"
 const BeatBytes = 16
 
 // Memory is the byte-addressable off-chip main memory.
+//
+// It keeps an exact dirty watermark: every byte at or past it is zero.
+// Write and WriteBeat raise the mark and Zero lowers it, so clearing a
+// region costs what was written there, not the size of the region — the
+// resilient driver wipes the whole output tail before every attempt, while
+// a typical batch dirties a few KiB of it. Bytes hands the backing store
+// out for arbitrary writes, so it pins the mark at the end of memory for
+// good.
 type Memory struct {
-	data []byte
+	data    []byte
+	dirty   int64 // watermark: data[dirty:] is all zero
+	exposed bool  // Bytes was called; the mark can no longer be trusted
 }
 
 // NewMemory allocates size bytes of main memory.
@@ -33,6 +43,7 @@ func (m *Memory) ReadBeat(addr int64, dst *[BeatBytes]byte) {
 func (m *Memory) WriteBeat(addr int64, src *[BeatBytes]byte) {
 	m.check(addr, BeatBytes)
 	copy(m.data[addr:addr+BeatBytes], src[:])
+	m.raise(addr + BeatBytes)
 }
 
 // Read copies n bytes at addr (CPU-style access).
@@ -47,13 +58,27 @@ func (m *Memory) Read(addr int64, n int) []byte {
 func (m *Memory) Write(addr int64, b []byte) {
 	m.check(addr, len(b))
 	copy(m.data[addr:addr+int64(len(b))], b)
+	m.raise(addr + int64(len(b)))
 }
 
 // Zero clears n bytes at addr in place (CPU-style access, allocation-free).
+// Only the part below the dirty watermark is touched; a clear that reaches
+// the mark lowers it to addr.
 func (m *Memory) Zero(addr int64, n int) {
 	m.check(addr, n)
-	clear(m.data[addr : addr+int64(n)])
+	end := min(addr+int64(n), m.dirty)
+	if addr >= end {
+		return
+	}
+	clear(m.data[addr:end])
+	if end == m.dirty && !m.exposed {
+		m.dirty = addr
+	}
 }
+
+// Watermark returns the dirty watermark: every byte at or past it is zero.
+// After Bytes it is the memory size.
+func (m *Memory) Watermark() int64 { return m.dirty }
 
 // View returns a bounds-checked window over the backing store without
 // copying. Callers must treat it as read-only; the resilient driver's
@@ -63,8 +88,21 @@ func (m *Memory) View(addr int64, n int) []byte {
 	return m.data[addr : addr+int64(n) : addr+int64(n)]
 }
 
-// Bytes exposes the backing store (testbench backdoor).
-func (m *Memory) Bytes() []byte { return m.data }
+// Bytes exposes the backing store (testbench backdoor). Writes through it
+// bypass the dirty watermark, so from then on the mark stays at the end of
+// memory and Zero clears every byte it is asked to.
+func (m *Memory) Bytes() []byte {
+	m.exposed = true
+	m.dirty = int64(len(m.data))
+	return m.data
+}
+
+// raise lifts the dirty watermark to cover a write ending at end.
+func (m *Memory) raise(end int64) {
+	if end > m.dirty {
+		m.dirty = end
+	}
+}
 
 func (m *Memory) check(addr int64, n int) {
 	if addr < 0 || addr+int64(n) > int64(len(m.data)) {

@@ -40,20 +40,39 @@ var Alphabet = [4]byte{BaseA, BaseC, BaseG, BaseT}
 // ErrUnsupportedBase reports a byte outside the accelerator's alphabet.
 var ErrUnsupportedBase = errors.New("seqio: unsupported base")
 
+// noCode marks a byte outside the alphabet in baseCodes.
+const noCode = 0xFF
+
+// baseCodes is the Extractor's direct base map (Section 4.2) as a lookup
+// table: the 2-bit code of every accepted byte, upper- or lowercase, and
+// noCode for everything else. It is built once at initialization and only
+// read afterwards.
+var baseCodes = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = noCode
+	}
+	for code, b := range Alphabet {
+		t[b] = uint8(code)
+		t[b|0x20] = uint8(code) // lowercase
+	}
+	return t
+}()
+
 // Code2Bit returns the 2-bit code of a base byte: A=0, C=1, G=2, T=3.
 // Lowercase input is accepted. Any other byte (including 'N') is an error.
 func Code2Bit(b byte) (uint8, error) {
-	switch b {
-	case 'A', 'a':
-		return 0, nil
-	case 'C', 'c':
-		return 1, nil
-	case 'G', 'g':
-		return 2, nil
-	case 'T', 't':
-		return 3, nil
+	if code := baseCodes[b]; code != noCode {
+		return code, nil
 	}
-	return 0, fmt.Errorf("%w: %q", ErrUnsupportedBase, b) //vet:allow hotalloc error construction on the reject path only
+	return 0, unsupportedBase(b)
+}
+
+// unsupportedBase builds Code2Bit's error for a byte outside the alphabet.
+// It runs on the reject path only.
+//
+//vet:coldpath
+func unsupportedBase(b byte) error {
+	return fmt.Errorf("%w: %q", ErrUnsupportedBase, b)
 }
 
 // Base2Bit returns the base byte for a 2-bit code (only the low two bits are
@@ -66,11 +85,19 @@ func Base2Bit(code uint8) byte {
 // and returns the index of the first offending byte.
 func ValidateSequence(s []byte) error {
 	for i, b := range s {
-		if _, err := Code2Bit(b); err != nil {
-			return fmt.Errorf("seqio: position %d: %w", i, err) //vet:allow hotalloc error construction on the reject path only
+		if baseCodes[b] == noCode {
+			return badPosition(i, b)
 		}
 	}
 	return nil
+}
+
+// badPosition builds ValidateSequence's error for the first bad byte. It
+// runs on the reject path only.
+//
+//vet:coldpath
+func badPosition(i int, b byte) error {
+	return fmt.Errorf("seqio: position %d: %w", i, unsupportedBase(b))
 }
 
 // PackWord packs up to 16 base bytes into one little-endian 4-byte Input_Seq
@@ -82,9 +109,9 @@ func PackWord(bases []byte) (uint32, error) {
 	}
 	var w uint32
 	for i, b := range bases {
-		code, err := Code2Bit(b)
-		if err != nil {
-			return 0, err
+		code := baseCodes[b]
+		if code == noCode {
+			return 0, unsupportedBase(b)
 		}
 		w |= uint32(code) << (2 * i)
 	}

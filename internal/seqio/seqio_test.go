@@ -2,7 +2,9 @@ package seqio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +202,41 @@ func TestPairSections(t *testing.T) {
 	}
 	if got := PairSections(16); got != 3 {
 		t.Fatalf("PairSections(16)=%d", got)
+	}
+}
+
+// TestAlphabetExhaustive walks all 256 byte values: Code2Bit accepts exactly
+// ACGT and acgt with codes 0-3, every other byte is an error wrapping
+// ErrUnsupportedBase, and ValidateSequence and PackWord agree with it —
+// ValidateSequence naming the first bad position.
+func TestAlphabetExhaustive(t *testing.T) {
+	want := map[byte]uint8{'A': 0, 'C': 1, 'G': 2, 'T': 3, 'a': 0, 'c': 1, 'g': 2, 't': 3}
+	for v := 0; v < 256; v++ {
+		b := byte(v)
+		code, err := Code2Bit(b)
+		seq := []byte{'A', 'c', b, 'G', b}
+		verr := ValidateSequence(seq)
+		_, perr := PackWord(seq)
+		if wc, ok := want[b]; ok {
+			if err != nil || code != wc {
+				t.Errorf("Code2Bit(%q) = %d, %v; want %d", b, code, err, wc)
+			}
+			if verr != nil || perr != nil {
+				t.Errorf("%q: ValidateSequence = %v, PackWord = %v; want both nil", b, verr, perr)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrUnsupportedBase) {
+			t.Errorf("Code2Bit(%q) = %d, %v; want ErrUnsupportedBase", b, code, err)
+		}
+		if !errors.Is(verr, ErrUnsupportedBase) || !strings.Contains(verr.Error(), "position 2:") {
+			t.Errorf("ValidateSequence(%q) = %v; want ErrUnsupportedBase at position 2", seq, verr)
+		}
+		if !errors.Is(perr, ErrUnsupportedBase) {
+			t.Errorf("PackWord(%q) = %v; want ErrUnsupportedBase", seq, perr)
+		}
+	}
+	if err := ValidateSequence(nil); err != nil {
+		t.Errorf("ValidateSequence(nil) = %v", err)
 	}
 }

@@ -215,6 +215,7 @@ func (s *Server) respill(t *task) {
 // work-conservingly.
 func (s *Server) softwareLoop() {
 	defer s.swWG.Done()
+	sa := soc.NewSoftwareAligner(s.cfg.Core)
 	dispatch, spill := s.dispatch, s.spill
 	for dispatch != nil || spill != nil {
 		select {
@@ -224,28 +225,28 @@ func (s *Server) softwareLoop() {
 				continue
 			}
 			for _, t := range b.tasks {
-				s.runSoftwareTask(t)
+				s.runSoftwareTask(sa, t)
 			}
 		case t, ok := <-spill:
 			if !ok {
 				spill = nil
 				continue
 			}
-			s.runSoftwareTask(t)
+			s.runSoftwareTask(sa, t)
 		}
 	}
 }
 
-// runSoftwareTask answers one pair with the pure-software WFA —
-// soc.SoftwareAlign, the same function the resilient fallback and the
+// runSoftwareTask answers one pair with the worker's pure-software WFA —
+// a soc.SoftwareAligner, the same definition the resilient fallback and the
 // ModeFull shadow oracle use, which is what makes the software tier
 // answer-for-answer interchangeable with the hardware path.
-func (s *Server) runSoftwareTask(t *task) {
+func (s *Server) runSoftwareTask(sa *soc.SoftwareAligner, t *task) {
 	if t.expired() {
 		s.resolveTask(t, outcome{deadline: true})
 		return
 	}
-	res, _ := soc.SoftwareAlign(s.cfg.Core, t.pair, t.backtrace)
+	res, _ := sa.Align(t.pair, t.backtrace)
 	s.metrics.FallbackPairs.Add(1)
 	s.resolveTask(t, outcome{res: soc.PairOutcome{ID: t.pair.ID, Result: res}})
 }

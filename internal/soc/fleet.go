@@ -25,6 +25,7 @@ func NewFleet(cfg core.Config, n, memBytes int) (*core.Fleet, []*SoC, error) {
 			Machine: mb.Machine,
 			Driver:  NewDriver(mb.Machine),
 			Costs:   cpumodel.DefaultCosts(),
+			sw:      NewSoftwareAligner(cfg),
 		}
 	}
 	return fleet, socs, nil

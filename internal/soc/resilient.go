@@ -15,7 +15,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/perf"
 	"repro/internal/seqio"
-	"repro/internal/wfa"
 )
 
 // Defaults for the zero values of ResilientOptions. Explicit values are
@@ -213,13 +212,6 @@ type verifier struct {
 	permyriad int
 	seed      uint64
 	bounds    integrity.Bounds
-}
-
-// pairSupported mirrors SoftwareAlign's unsupported predicate: the
-// software-visible notion of "the hardware can process this pair at all".
-func pairSupported(cfg core.Config, p seqio.Pair) bool {
-	return len(p.A) <= cfg.MaxReadLenCap && len(p.B) <= cfg.MaxReadLenCap &&
-		seqio.ValidateSequence(p.A) == nil && seqio.ValidateSequence(p.B) == nil
 }
 
 // RunResilient is the fault-tolerant counterpart of RunAccelerated: it
@@ -672,38 +664,14 @@ func (s *SoC) software(i int, p seqio.Pair, withCIGAR bool, sw []swResult) swRes
 	return sw[i]
 }
 
-// alignSoftware reproduces the accelerator's semantics in software.
+// alignSoftware aligns one pair on the SoC's reused software aligner.
 func (s *SoC) alignSoftware(p seqio.Pair, withCIGAR bool) swResult {
-	res, stats := SoftwareAlign(s.Cfg, p, withCIGAR)
+	res, stats := s.sw.Align(p, withCIGAR)
 	return swResult{res: res, stats: stats}
 }
 
-// SoftwareAlign reproduces the accelerator's per-pair semantics in pure
-// software: unsupported reads (over the hardware cap or containing unknown
-// bases) fail with Success = false, everything else runs the WFA under the
-// hardware's k_max window. It is the one definition of "the right answer"
-// shared by the resilient fallback, the Verify shadow oracle and the
-// software-worker tier of internal/serve — which is what makes the hardware
-// and software paths interchangeable pair-by-pair.
-func SoftwareAlign(cfg core.Config, p seqio.Pair, withCIGAR bool) (align.Result, cpumodel.WFAStats) {
-	if len(p.A) > cfg.MaxReadLenCap || len(p.B) > cfg.MaxReadLenCap ||
-		seqio.ValidateSequence(p.A) != nil || seqio.ValidateSequence(p.B) != nil {
-		return align.Result{Success: false}, cpumodel.WFAStats{}
-	}
-	res, st, err := wfa.Align(p.A, p.B, cfg.Penalties, wfa.Options{WithCIGAR: withCIGAR, MaxK: cfg.KMax})
-	if err != nil {
-		return align.Result{Success: false}, cpumodel.WFAStats{}
-	}
-	return res, cpumodel.WFAStats{
-		ScoreSteps:     st.ScoreSteps,
-		CellsComputed:  st.CellsComputed,
-		BasesCompared:  st.BasesCompared,
-		Blocks16:       st.Blocks16,
-		WavefrontBytes: st.WavefrontBytes,
-	}
-}
-
-// zeroFrom clears main memory from addr to the end, in place.
+// zeroFrom clears main memory from addr to the end, in place. The memory's
+// dirty watermark bounds the work to what was written since the last wipe.
 func (s *SoC) zeroFrom(addr int64) {
 	n := s.Memory.Size() - int(addr)
 	if n <= 0 {

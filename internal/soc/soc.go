@@ -24,6 +24,10 @@ type SoC struct {
 	// Faults is the fault injector attached via EnableFaults (nil when the
 	// fault layer is disabled; all uses are nil-safe).
 	Faults *fault.Injector
+
+	// sw is the software WFA behind the resilient fallback and the shadow
+	// oracle, reused across pairs and runs.
+	sw *SoftwareAligner
 }
 
 // inputBase leaves the bottom of memory for the "OS" (flavor only).
@@ -41,6 +45,7 @@ func New(cfg core.Config, memBytes int) (*SoC, error) {
 		Machine: m,
 		Driver:  NewDriver(m),
 		Costs:   cpumodel.DefaultCosts(),
+		sw:      NewSoftwareAligner(cfg),
 	}, nil
 }
 

@@ -1,0 +1,141 @@
+package soc
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/align"
+	"repro/internal/core"
+	"repro/internal/seqgen"
+	"repro/internal/seqio"
+)
+
+// TestSoftwareAlignerMatchesOneShot reuses one SoftwareAligner across
+// interleaved score-only and CIGAR calls on the edge cases of the software
+// semantics — empty and one-base reads, reads at and one past the hardware
+// cap, N bases, pairs beyond k_max — and requires its Result and WFAStats to
+// equal a fresh one-shot SoftwareAlign on every pair.
+func TestSoftwareAlignerMatchesOneShot(t *testing.T) {
+	cfg := core.ChipConfig()
+	cfg.MaxReadLenCap = 256
+	cfg.KMax = 16
+	g := seqgen.New(3, 14)
+	rnd := func(n int) []byte { return g.RandomSequence(n) }
+	capRead := rnd(cfg.MaxReadLenCap)
+	pairs := []seqio.Pair{
+		{A: nil, B: nil},
+		{A: nil, B: []byte("ACGT")},
+		{A: []byte("A"), B: []byte("A")},
+		{A: []byte("A"), B: []byte("C")},
+		{A: []byte("G"), B: nil},
+		{A: capRead, B: capRead},
+		g.Pair(0, cfg.MaxReadLenCap, 0.03),
+		{A: rnd(cfg.MaxReadLenCap + 1), B: rnd(cfg.MaxReadLenCap)},
+		{A: rnd(cfg.MaxReadLenCap), B: rnd(cfg.MaxReadLenCap + 1)},
+		{A: []byte("ACGNT"), B: []byte("ACGAT")},
+		{A: []byte("ACGT"), B: []byte("NNNN")},
+		{A: rnd(40), B: rnd(40 + cfg.KMax + 1)}, // final diagonal outside k_max
+		{A: rnd(120), B: rnd(120)},              // score past Equation 6's bound
+		g.Pair(0, 200, 0.10),
+		g.Pair(0, 100, 0.05),
+		{A: []byte("acgtacgt"), B: []byte("ACGTTCGT")},
+	}
+	sa := NewSoftwareAligner(cfg)
+	for round := 0; round < 2; round++ {
+		for i, p := range pairs {
+			for _, withCIGAR := range []bool{i%2 == 0, i%2 != 0} {
+				got, gotStats := sa.Align(p, withCIGAR)
+				want, wantStats := SoftwareAlign(cfg, p, withCIGAR)
+				if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+					t.Fatalf("round %d pair %d cigar=%v: reused = %+v %+v, one-shot = %+v %+v",
+						round, i, withCIGAR, got, gotStats, want, wantStats)
+				}
+			}
+		}
+	}
+	// The edge cases must exercise both outcomes and both failure causes.
+	for _, c := range []struct {
+		i    int
+		want bool
+	}{{0, true}, {5, true}, {7, false}, {9, false}, {11, false}, {12, false}} {
+		if res, _ := sa.Align(pairs[c.i], false); res.Success != c.want {
+			t.Errorf("pair %d: Success = %v, want %v", c.i, res.Success, c.want)
+		}
+	}
+}
+
+// TestSoftwareAlignerInvalidPenalties: penalties the WFA cannot run fail
+// every pair instead of panicking, on the reused and the one-shot path.
+func TestSoftwareAlignerInvalidPenalties(t *testing.T) {
+	cfg := core.ChipConfig()
+	cfg.Penalties = align.Penalties{Mismatch: 0, GapOpen: 1, GapExtend: 1}
+	p := seqio.Pair{A: []byte("ACGT"), B: []byte("ACCT")}
+	sa := NewSoftwareAligner(cfg)
+	for _, withCIGAR := range []bool{false, true, false} {
+		if res, st := sa.Align(p, withCIGAR); res.Success || st.ScoreSteps != 0 {
+			t.Errorf("reused cigar=%v: %+v %+v, want a failed pair", withCIGAR, res, st)
+		}
+		if res, _ := SoftwareAlign(cfg, p, withCIGAR); res.Success {
+			t.Errorf("one-shot cigar=%v: %+v, want a failed pair", withCIGAR, res)
+		}
+	}
+}
+
+// TestZeroFromAfterJob runs a real resilient job and checks the dirty
+// watermark end to end: the output stream raised it past the output
+// address, everything past the stream the device reported reads as zero,
+// and zeroFrom leaves the whole tail zero with the mark back at the output
+// address.
+func TestZeroFromAfterJob(t *testing.T) {
+	s, err := New(testConfig(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backtrace := range []bool{false, true} {
+		set := testSet(6, 150, 0.05)
+		rep, err := s.RunResilient(set, ResilientOptions{Backtrace: backtrace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.HardwarePairs != len(set.Pairs) {
+			t.Fatalf("backtrace=%v: %d of %d pairs from hardware", backtrace, rep.HardwarePairs, len(set.Pairs))
+		}
+		img, err := set.BuildImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := int64((inputBase + len(img) + 15) &^ 15)
+		count, err := s.Driver.OutCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := out + int64(count)*16
+		if mark := s.Memory.Watermark(); mark < end {
+			t.Fatalf("backtrace=%v: watermark %d below the end of the output stream %d", backtrace, mark, end)
+		}
+		size := int64(s.Memory.Size())
+		if tail := s.Memory.View(end, int(size-end)); !allZero(tail) {
+			t.Fatalf("backtrace=%v: bytes past the reported output stream are not zero", backtrace)
+		}
+		s.zeroFrom(out)
+		if mark := s.Memory.Watermark(); mark != out {
+			t.Fatalf("backtrace=%v: watermark %d after zeroFrom, want the output address %d", backtrace, mark, out)
+		}
+		if !allZero(s.Memory.View(out, int(size-out))) {
+			t.Fatalf("backtrace=%v: zeroFrom left dirty bytes in the tail", backtrace)
+		}
+		if !bytes.Equal(s.Memory.View(inputBase, len(img)), img) {
+			t.Fatalf("backtrace=%v: zeroFrom touched the input image", backtrace)
+		}
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -21,6 +21,8 @@
 #                   repro => ../), so steps 2-6 never compile it: vet and
 #                   test it separately so an API change cannot break it
 #                   unnoticed
+#   8. hot-path benchmarks  the software-WFA micro-benchmarks run 100
+#                   iterations each, so they must execute, not just compile
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,6 +68,9 @@ fi
 
 echo "== hostbench module (go vet + go test) =="
 (cd hostbench && go vet . && go test .)
+
+echo "== hot-path benchmarks (100 iterations each) =="
+go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign' -benchtime 100x .
 
 # The suite above runs in the default event-skipping mode (WFASIC_SIM_MODE
 # unset => skip). Re-running the golden-bearing packages under the naive
