@@ -89,6 +89,32 @@ func main() {
 	}
 }
 
+// The HTTP edge's read bounds: a client that trickles its request header or
+// body, or parks an idle keep-alive connection, is cut off instead of
+// holding a goroutine and a socket for good. ReadTimeout spans header and
+// body: the largest body the service accepts (8 MiB) still arrives in time
+// over a link of about 2.2 Mbit/s.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the edge's
+// read bounds. WriteTimeout stays unset: it would run from the end of the
+// header read and so cut off a large batch's answer while the fleet is still
+// computing it. Answer time is bounded by the request deadline instead
+// (timeout_ms, or the -timeout default).
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe serves HTTP until SIGTERM/SIGINT, then drains gracefully: stop
 // accepting, answer everything in flight, shut the listener down.
 func runServe(cfg serve.Config, addr string) error {
@@ -96,7 +122,7 @@ func runServe(cfg serve.Config, addr string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+	hs := newHTTPServer(addr, s.Handler())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)

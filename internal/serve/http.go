@@ -35,6 +35,10 @@ type AlignResponse struct {
 	Results []PairResult `json:"results"`
 }
 
+// maxBodyBytes bounds a POST /align body: a full 256-pair request of 10 kbp
+// reads is about 5 MB of JSON.
+const maxBodyBytes = 8 << 20
+
 // errorResponse is every non-200 body.
 type errorResponse struct {
 	Error      string `json:"error"`
@@ -68,7 +72,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req AlignRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

@@ -9,6 +9,23 @@ import (
 	"repro/internal/soc"
 )
 
+// SDC evidence feedback (the integrity layer's device-health loop). Every
+// device carries a suspicion score: each batch adds its SDC evidence
+// (witness rejects, shadow mismatches, hardware-evidence discards, audit
+// failures) and each evidence-free batch multiplies the score by
+// sdcSuspicionDecay. At sdcEscalateThreshold the device's verification
+// escalates to integrity.ModeFull (every pair shadowed); at
+// sdcQuarantineThreshold the batch verdict is forced bad so the breaker
+// quarantines the device even if it still answers plausibly. Escalation
+// needs a quarter of the evidence quarantine needs: a device with a few
+// suspect results gets every answer checked, and only sustained evidence
+// takes it out of service.
+const (
+	sdcSuspicionDecay      = 0.5
+	sdcEscalateThreshold   = 2
+	sdcQuarantineThreshold = 8
+)
+
 // deviceLoop is one fleet member's worker: pull a batch, apply any pending
 // chaos config at this safe point, run the batch through the resilient
 // ladder, and walk the breaker state machine on the verdict. A quarantined
@@ -129,13 +146,12 @@ func (s *Server) runDeviceBatch(d *device, b *batch) (good bool) {
 
 	opts := s.cfg.Resilient
 	opts.Backtrace = b.backtrace
-	opts.SeparateData = false
 	// Re-seed the shadow sampler per device batch: device-local pair IDs
 	// repeat 1..n every batch, so a fixed seed would sample the same slots
 	// forever. Escalated devices shadow-verify everything.
 	d.batchSeq++
 	opts.Verify.Seed ^= uint64(d.id)<<32 ^ d.batchSeq*0x9E3779B97F4A7C15
-	if opts.Verify.Mode != integrity.ModeOff && d.suspicion >= s.cfg.SDCEscalateThreshold {
+	if opts.Verify.Mode != integrity.ModeOff && d.suspicion >= sdcEscalateThreshold {
 		opts.Verify = integrity.Policy{Mode: integrity.ModeFull}
 		s.metrics.SDCEscalations.Add(1)
 	}
@@ -184,10 +200,10 @@ func (s *Server) runDeviceBatch(d *device, b *batch) (good bool) {
 	if evidence > 0 {
 		d.suspicion += evidence
 	} else {
-		d.suspicion *= s.cfg.SDCSuspicionDecay
+		d.suspicion *= sdcSuspicionDecay
 	}
 	d.suspicionMilli.Store(int64(d.suspicion * 1000))
-	if d.suspicion >= s.cfg.SDCQuarantineThreshold {
+	if d.suspicion >= sdcQuarantineThreshold {
 		// Enough accumulated SDC evidence is a health verdict of its own:
 		// force the breaker's bad path even if this batch looked clean.
 		s.metrics.SDCQuarantines.Add(1)

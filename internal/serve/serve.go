@@ -37,6 +37,15 @@ import (
 	"repro/internal/soc"
 )
 
+// deviceMemBytes is each device's main-memory size. A serving device only
+// ever holds one coalesced batch: a default 64-pair batch at the 10 kbp read
+// cap has a 1.3 MB input image, which leaves most of the 8 MiB for the result
+// stream. A batch that still does not fit is not dropped — RunResilient
+// answers its pairs with the software WFA. Between attempts the memory's
+// dirty watermark bounds the clear to the bytes the batch wrote, so the size
+// costs memory once per device, not time per batch.
+const deviceMemBytes = 8 << 20
+
 // Config parameterizes a Server. The zero value of every knob selects a
 // validated default; invalid explicit values are rejected by Validate.
 type Config struct {
@@ -50,11 +59,6 @@ type Config struct {
 	// Core is the per-device accelerator configuration; the zero value
 	// selects core.ChipConfig().
 	Core core.Config
-	// MemBytes is each device's main-memory size; 0 means 8 MiB — a serving
-	// device only ever holds one coalesced batch, and the resilient ladder
-	// zeroes the whole output region between attempts, so oversizing memory
-	// directly taxes every retry.
-	MemBytes int
 
 	// QueueLimit bounds the pairs admitted but not yet answered (queued or
 	// in flight anywhere in the service). Admission past the bound sheds
@@ -68,8 +72,6 @@ type Config struct {
 
 	// MaxPairsPerRequest bounds one Submit/HTTP request; 0 means 256.
 	MaxPairsPerRequest int
-	// MaxBodyBytes bounds the HTTP request body; 0 means 8 MiB.
-	MaxBodyBytes int64
 	// DefaultTimeout bounds HTTP requests that specify no timeout_ms of
 	// their own; 0 means no default deadline.
 	DefaultTimeout time.Duration
@@ -91,31 +93,14 @@ type Config struct {
 	ProbeBackoffMin time.Duration
 	ProbeBackoffMax time.Duration
 
-	// Resilient tunes the per-batch device run (MaxAttempts, ResetBackoff,
-	// Verify, ...). Backtrace and SeparateData are per-request and ignored
-	// here. The zero value selects RunResilient's own defaults — including
-	// integrity.ModeWitness verification, so per-pair witnesses and the
-	// hardware SDC evidence gate are on for every device batch. The shadow
-	// sampler's seed is re-derived per device batch from Verify.Seed, so one
-	// policy covers a whole fleet without the devices sampling in lockstep.
+	// Resilient tunes the per-batch device run (MaxAttempts, UseIRQ,
+	// Verify). Backtrace is per-request and ignored here. The zero value
+	// selects RunResilient's own defaults — including integrity.ModeWitness
+	// verification, so per-pair witnesses and the hardware SDC evidence gate
+	// are on for every device batch. The shadow sampler's seed is re-derived
+	// per device batch from Verify.Seed, so one policy covers a whole fleet
+	// without the devices sampling in lockstep.
 	Resilient soc.ResilientOptions
-
-	// SDC evidence feedback (the integrity layer's device-health loop).
-	// Every device carries a suspicion score: each batch adds its SDC
-	// evidence (witness rejects, shadow mismatches, hardware trips, output
-	// CRC mismatches, audit failures) and each evidence-free batch decays
-	// the score multiplicatively. At SDCEscalateThreshold the device's
-	// verification escalates to integrity.ModeFull (every pair shadowed);
-	// at SDCQuarantineThreshold the batch verdict is forced bad so the
-	// breaker quarantines the device even if it still answers plausibly.
-	//
-	// SDCSuspicionDecay is the per-clean-batch multiplier in [0, 1);
-	// 0 means 0.5. SDCEscalateThreshold 0 means 2; SDCQuarantineThreshold
-	// 0 means 8. Negative values are rejected, and the escalate threshold
-	// must not exceed the quarantine threshold.
-	SDCSuspicionDecay      float64
-	SDCEscalateThreshold   float64
-	SDCQuarantineThreshold float64
 
 	// Now is the clock used by admission (token buckets, uptime); nil
 	// means time.Now. Tests substitute a virtual clock for determinism.
@@ -135,9 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.Core.NumAligners == 0 {
 		c.Core = core.ChipConfig()
 	}
-	if c.MemBytes == 0 {
-		c.MemBytes = 8 << 20
-	}
 	if c.QueueLimit == 0 {
 		c.QueueLimit = 4096
 	}
@@ -149,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPairsPerRequest == 0 {
 		c.MaxPairsPerRequest = 256
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.TenantBurst == 0 {
 		c.TenantBurst = c.BatchPairs
@@ -167,15 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeBackoffMax == 0 {
 		c.ProbeBackoffMax = 2 * time.Second
-	}
-	if c.SDCSuspicionDecay == 0 {
-		c.SDCSuspicionDecay = 0.5
-	}
-	if c.SDCEscalateThreshold == 0 {
-		c.SDCEscalateThreshold = 2
-	}
-	if c.SDCQuarantineThreshold == 0 {
-		c.SDCQuarantineThreshold = 8
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -222,16 +192,6 @@ func (c Config) Validate() error {
 	}
 	if d.BreakerThreshold < 1 {
 		return fmt.Errorf("serve: BreakerThreshold %d < 1", c.BreakerThreshold)
-	}
-	if c.SDCSuspicionDecay < 0 || d.SDCSuspicionDecay >= 1 {
-		return fmt.Errorf("serve: SDCSuspicionDecay %v outside [0, 1)", c.SDCSuspicionDecay)
-	}
-	if c.SDCEscalateThreshold < 0 || c.SDCQuarantineThreshold < 0 {
-		return fmt.Errorf("serve: negative SDC threshold")
-	}
-	if d.SDCEscalateThreshold > d.SDCQuarantineThreshold {
-		return fmt.Errorf("serve: SDCEscalateThreshold %v exceeds SDCQuarantineThreshold %v",
-			d.SDCEscalateThreshold, d.SDCQuarantineThreshold)
 	}
 	if err := d.Core.Validate(); err != nil {
 		return err
@@ -359,7 +319,7 @@ func New(cfg Config) (*Server, error) {
 	// The device backends are a soc.NewFleet: isolated machines built for
 	// exactly the one-goroutine-per-member discipline deviceLoop runs them
 	// under.
-	_, socs, err := soc.NewFleet(cfg.Core, cfg.Devices, cfg.MemBytes)
+	_, socs, err := soc.NewFleet(cfg.Core, cfg.Devices, deviceMemBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/seqgen"
 	"repro/internal/seqio"
 	"repro/internal/soc"
 )
@@ -269,6 +271,49 @@ func TestBreakerQuarantineAndRecovery(t *testing.T) {
 	states := s.DeviceStates()
 	if states[0] != "healthy" {
 		t.Fatalf("device state after recovery = %q, want healthy", states[0])
+	}
+	if got := s.metrics.Answered(); got != s.metrics.Admitted.Load() {
+		t.Fatalf("answered %d of %d admitted pairs", got, s.metrics.Admitted.Load())
+	}
+}
+
+// Silent corruption on a device raises its SDC suspicion until its batches
+// escalate to full shadow verification and then until the suspicion
+// threshold forces a quarantine, while every answer still equals the
+// software WFA.
+func TestSDCEscalationAndQuarantine(t *testing.T) {
+	s := testServer(t, Config{
+		Devices: 1, SoftwareWorkers: 1,
+		BatchPairs: 16, BatchDelay: time.Millisecond,
+		ProbeBackoffMin: time.Millisecond, ProbeBackoffMax: 4 * time.Millisecond,
+	})
+	defer s.Drain()
+	ctx := context.Background()
+
+	// Input beats flip silently in flight: the job completes, but the ingest
+	// witness trips and the attempt is discarded as SDC evidence.
+	if err := s.InjectFaults(0, fault.Config{Seed: 5, DataFlipProb: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	g := seqgen.New(17, 29)
+	deadline := time.Now().Add(30 * time.Second)
+	for s.metrics.SDCEscalations.Load() == 0 || s.metrics.SDCQuarantines.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("escalations=%d quarantines=%d: the SDC feedback loop never closed under silent faults",
+				s.metrics.SDCEscalations.Load(), s.metrics.SDCQuarantines.Load())
+		}
+		set := g.Set(seqgen.Profile{Name: "sdc", Length: 100, ErrorRate: 0.05, NumPairs: 16})
+		res, err := s.Submit(ctx, "sdc", set.Pairs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range set.Pairs {
+			want, _ := soc.SoftwareAlign(core.ChipConfig(), p, false)
+			if res[i].Success != want.Success || res[i].Score != want.Score {
+				t.Fatalf("pair %d: got success=%v score=%d, software WFA success=%v score=%d",
+					p.ID, res[i].Success, res[i].Score, want.Success, want.Score)
+			}
+		}
 	}
 	if got := s.metrics.Answered(); got != s.metrics.Admitted.Load() {
 		t.Fatalf("answered %d of %d admitted pairs", got, s.metrics.Admitted.Load())

@@ -28,7 +28,7 @@ func checkChaosOutcomes(t *testing.T, s *SoC, rep *ResilientReport, opts Resilie
 	if rep.HardwarePairs+rep.FallbackPairs != pairs {
 		t.Fatalf("hardware %d + fallback %d != %d pairs", rep.HardwarePairs, rep.FallbackPairs, pairs)
 	}
-	if rep.TotalCycles != rep.AccelCycles+rep.BackoffCycles+rep.CPUBacktraceCycles+rep.CPUFallbackCycles+rep.IntegrityCycles {
+	if rep.TotalCycles != rep.AccelCycles+rep.CPUBacktraceCycles+rep.CPUFallbackCycles+rep.IntegrityCycles {
 		t.Fatalf("TotalCycles %d is not the sum of its parts", rep.TotalCycles)
 	}
 }

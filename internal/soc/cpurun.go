@@ -60,13 +60,7 @@ func (s *SoC) RunCPU(set *seqio.InputSet, mode CPUMode, withBacktrace bool) (*CP
 			if err != nil {
 				return nil, err
 			}
-			ws := cpumodel.WFAStats{
-				ScoreSteps:     st.ScoreSteps,
-				CellsComputed:  st.CellsComputed,
-				BasesCompared:  st.BasesCompared,
-				Blocks16:       st.Blocks16,
-				WavefrontBytes: st.WavefrontBytes,
-			}
+			ws := wfaStats(st)
 			if mode == CPUScalar {
 				cycles = s.Costs.ScalarWFACycles(ws)
 			} else {

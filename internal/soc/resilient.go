@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/align"
-	"repro/internal/bt"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/fault"
@@ -17,51 +16,25 @@ import (
 	"repro/internal/seqio"
 )
 
-// Defaults for the zero values of ResilientOptions. Explicit values are
-// validated by ResilientOptions.Validate; only the zero value selects a
-// default (negative values are errors, never silent clamps).
+// Accelerator run bounds.
 const (
 	// DefaultMaxAttempts is the reset-and-resubmit bound when
-	// ResilientOptions.MaxAttempts is zero.
+	// ResilientOptions.MaxAttempts is zero. Explicit values are validated by
+	// ResilientOptions.Validate: negative values are errors, never silent
+	// clamps.
 	DefaultMaxAttempts = 3
-	// DefaultRunMaxCycles is the per-run cycle budget when
-	// RunOptions.MaxCycles or ResilientOptions.MaxCycles is zero.
+	// DefaultRunMaxCycles is the cycle budget of every accelerator run
+	// (hang protection behind the watchdog).
 	DefaultRunMaxCycles = 100_000_000_000
-	// maxBackoffShift caps the exponential reset-backoff doubling so the
-	// shift can never overflow (backoff plateaus after 20 retries).
-	maxBackoffShift = 20
 )
 
 // ResilientOptions configures RunResilient.
 type ResilientOptions struct {
 	// Backtrace enables the backtrace stream and the CPU decode step.
 	Backtrace bool
-	// SeparateData forces the multi-Aligner data-separation method.
-	SeparateData bool
-	// MaxCycles bounds each hardware attempt; 0 means DefaultRunMaxCycles.
-	// Negative values are rejected by Validate.
-	MaxCycles int64
 	// MaxAttempts bounds the reset-and-resubmit loop; 0 means
 	// DefaultMaxAttempts. Negative values are rejected by Validate.
 	MaxAttempts int
-	// MaxWallRetries bounds how many of the retries may be triggered by
-	// wall-clock failures — watchdog hangs and exhausted cycle budgets —
-	// which are the expensive failure class (each one costs a full watchdog
-	// window before it is diagnosed). 0 means MaxAttempts-1, i.e. every
-	// retry may be hang-triggered (the historical behavior). An explicit
-	// value must lie in [1, MaxAttempts-1]: negative values and bounds that
-	// could never bind are rejected by Validate, not clamped. Once the bound
-	// trips the remaining pairs degrade to the software fallback
-	// immediately instead of burning further watchdog windows.
-	MaxWallRetries int
-	// ResetBackoff inserts idle cycles between a soft reset and the
-	// resubmission, doubling on every further retry (exponential backoff):
-	// retry k waits ResetBackoff << (k-1) cycles. This gives a transiently
-	// sick device (stall storm in flight, bus briefly poisoned) time to
-	// quiesce before the next attempt. 0 disables backoff; negative values
-	// are rejected by Validate. Backoff cycles are accounted in
-	// ResilientReport.BackoffCycles and TotalCycles.
-	ResetBackoff int
 	// UseIRQ completes attempts through the interrupt path instead of
 	// polling, exercising the lost-IRQ recovery.
 	UseIRQ bool
@@ -84,13 +57,10 @@ func (o ResilientOptions) Validate() error {
 
 // resilientParams are the resolved (defaulted, validated) option values.
 type resilientParams struct {
-	maxAttempts    int
-	maxWallRetries int
-	resetBackoff   int
-	maxCycles      int64
-	verifyMode     integrity.Mode
-	permyriad      int // shadow-sample rate in 1/10000 units (ModeSampled)
-	verifySeed     uint64
+	maxAttempts int
+	verifyMode  integrity.Mode
+	permyriad   int // shadow-sample rate in 1/10000 units (ModeSampled)
+	verifySeed  uint64
 }
 
 func (o ResilientOptions) resolve() (resilientParams, error) {
@@ -98,31 +68,10 @@ func (o ResilientOptions) resolve() (resilientParams, error) {
 	if o.MaxAttempts < 0 {
 		return p, fmt.Errorf("soc: MaxAttempts %d is negative (0 selects the default of %d)", o.MaxAttempts, DefaultMaxAttempts)
 	}
-	if o.MaxCycles < 0 {
-		return p, fmt.Errorf("soc: MaxCycles %d is negative (0 selects the default of %d)", o.MaxCycles, int64(DefaultRunMaxCycles))
-	}
-	if o.MaxWallRetries < 0 {
-		return p, fmt.Errorf("soc: MaxWallRetries %d is negative (0 selects MaxAttempts-1)", o.MaxWallRetries)
-	}
-	if o.ResetBackoff < 0 {
-		return p, fmt.Errorf("soc: ResetBackoff %d is negative (0 disables backoff)", o.ResetBackoff)
-	}
 	p.maxAttempts = o.MaxAttempts
 	if p.maxAttempts == 0 {
 		p.maxAttempts = DefaultMaxAttempts
 	}
-	p.maxCycles = o.MaxCycles
-	if p.maxCycles == 0 {
-		p.maxCycles = DefaultRunMaxCycles
-	}
-	p.maxWallRetries = o.MaxWallRetries
-	if p.maxWallRetries == 0 {
-		p.maxWallRetries = p.maxAttempts - 1
-	} else if p.maxWallRetries > p.maxAttempts-1 {
-		return p, fmt.Errorf("soc: MaxWallRetries %d can never bind: at most MaxAttempts-1 = %d retries happen at all",
-			o.MaxWallRetries, p.maxAttempts-1)
-	}
-	p.resetBackoff = o.ResetBackoff
 	if err := o.Verify.Validate(); err != nil {
 		return p, err
 	}
@@ -139,7 +88,6 @@ type ResilientReport struct {
 
 	Attempts          int // hardware submissions, including the first
 	Retries           int // resubmissions after a failed attempt
-	WallRetries       int // retries triggered by hangs / cycle-budget exhaustion
 	Resets            int // soft resets issued
 	HangErrors        int // attempts ended by the watchdog or cycle budget
 	BusErrors         int // attempts ended by an AXI error response
@@ -167,11 +115,10 @@ type ResilientReport struct {
 	AuditFailures     int // pairs whose stored input image failed the audit
 
 	AccelCycles        int64 // accelerator cycles summed over every attempt
-	BackoffCycles      int64 // idle cycles spent in reset backoff between attempts
 	CPUBacktraceCycles int64 // modeled CPU cycles decoding backtrace streams
 	CPUFallbackCycles  int64 // modeled CPU cycles for software fallback
 	IntegrityCycles    int64 // modeled CPU cycles for witnesses, CRC checks and shadows
-	TotalCycles        int64 // AccelCycles + BackoffCycles + CPUBacktraceCycles + CPUFallbackCycles + IntegrityCycles
+	TotalCycles        int64 // AccelCycles + CPUBacktraceCycles + CPUFallbackCycles + IntegrityCycles
 
 	// FaultEvents / FaultCounts describe the faults injected during this
 	// run (deltas over the SoC's injector, which accumulates across runs).
@@ -304,8 +251,7 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 			// Kill stale bytes from earlier attempts so a truncated stream
 			// reads as padding, never as a previous attempt's records.
 			s.zeroFrom(int64(outputAddr))
-			hangsBefore := rep.HangErrors
-			ok, fatal := s.runAttempt(ctx, set, job, opts, v, p.maxCycles, byID, sw, accepted, &acceptedCount, rep)
+			ok, fatal := s.runAttempt(ctx, set, job, opts, v, byID, sw, accepted, &acceptedCount, rep)
 			if fatal != nil {
 				if errors.Is(fatal, ErrDeadline) {
 					// Job abort: the machine is mid-job; soft-reset so the
@@ -328,26 +274,6 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 				return nil, err
 			}
 			rep.Resets++
-			if rep.HangErrors > hangsBefore {
-				rep.WallRetries++
-				if rep.WallRetries > p.maxWallRetries {
-					// Wall-clock failures are the expensive class (each one
-					// costs a watchdog window); past the bound the remaining
-					// pairs degrade to software immediately.
-					break
-				}
-			}
-			if p.resetBackoff > 0 && attempt < p.maxAttempts {
-				shift := attempt - 1
-				if shift > maxBackoffShift {
-					shift = maxBackoffShift
-				}
-				backoff := p.resetBackoff << shift
-				for i := 0; i < backoff; i++ {
-					s.Machine.Tick()
-				}
-				rep.BackoffCycles += int64(backoff)
-			}
 		}
 	}
 
@@ -382,7 +308,7 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 		rep.FallbackPairs++
 	}
 
-	rep.TotalCycles = rep.AccelCycles + rep.BackoffCycles + rep.CPUBacktraceCycles + rep.CPUFallbackCycles + rep.IntegrityCycles
+	rep.TotalCycles = rep.AccelCycles + rep.CPUBacktraceCycles + rep.CPUFallbackCycles + rep.IntegrityCycles
 	perfNow, err := s.Driver.PerfSnapshot()
 	if err != nil {
 		return nil, err
@@ -403,7 +329,7 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 // fatal is a driver-level error that should abort RunResilient itself
 // (including a context expiry, which surfaces as ErrDeadline).
 func (s *SoC) runAttempt(ctx context.Context, set *seqio.InputSet, job JobConfig, opts ResilientOptions,
-	v verifier, maxCycles int64, byID map[uint32]int, sw []swResult,
+	v verifier, byID map[uint32]int, sw []swResult,
 	accepted []bool, acceptedCount *int, rep *ResilientReport) (ok bool, fatal error) {
 
 	if err := s.Driver.Configure(job); err != nil {
@@ -416,9 +342,9 @@ func (s *SoC) runAttempt(ctx context.Context, set *seqio.InputSet, job JobConfig
 	err := s.protectOOM(func() error {
 		var runErr error
 		if opts.UseIRQ {
-			cycles, runErr = s.Driver.WaitIRQCtx(ctx, maxCycles)
+			cycles, runErr = s.Driver.WaitIRQCtx(ctx, DefaultRunMaxCycles)
 		} else {
-			cycles, runErr = s.Driver.PollIdleCtx(ctx, maxCycles)
+			cycles, runErr = s.Driver.PollIdleCtx(ctx, DefaultRunMaxCycles)
 		}
 		return runErr
 	})
@@ -556,23 +482,11 @@ func (s *SoC) parseOutput(set *seqio.InputSet, raw []byte, count int, opts Resil
 		return candidates, true
 	}
 
-	separate := opts.SeparateData || s.Cfg.NumAligners > 1
-	pairs := map[uint32]seqio.Pair{}
-	for _, p := range set.Pairs {
-		pairs[p.ID&core.BTIDMask] = p
-	}
-	dec := bt.NewDecoder(s.Cfg)
-	alignments, btStats, err := dec.DecodeRegion(raw, count, pairs, separate)
+	alignments, _, btCycles, err := s.decodeBacktrace(set, raw, count, false)
 	if err != nil {
 		return nil, false
 	}
-	rep.CPUBacktraceCycles += s.Costs.BacktraceCycles(cpumodel.BTStats{
-		TransactionsScanned: btStats.TransactionsScanned,
-		SeparatedBytes:      btStats.SeparatedBytes,
-		RangeSteps:          btStats.RangeSteps,
-		WalkSteps:           btStats.WalkSteps,
-		MatchesInserted:     btStats.MatchesInserted,
-	}, separate)
+	rep.CPUBacktraceCycles += btCycles
 	for _, al := range alignments {
 		if _, known := byID[al.ID&core.BTIDMask]; !known {
 			continue

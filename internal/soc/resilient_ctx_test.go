@@ -39,13 +39,8 @@ func TestResilientOptionsValidate(t *testing.T) {
 		want string // "" means valid
 	}{
 		{"zero-defaults", ResilientOptions{}, ""},
-		{"explicit-valid", ResilientOptions{MaxAttempts: 5, MaxWallRetries: 2, ResetBackoff: 64, MaxCycles: 1 << 20}, ""},
+		{"explicit-valid", ResilientOptions{MaxAttempts: 5, UseIRQ: true}, ""},
 		{"negative-attempts", ResilientOptions{MaxAttempts: -1}, "MaxAttempts"},
-		{"negative-cycles", ResilientOptions{MaxCycles: -1}, "MaxCycles"},
-		{"negative-wall-retries", ResilientOptions{MaxWallRetries: -2}, "MaxWallRetries"},
-		{"negative-backoff", ResilientOptions{ResetBackoff: -3}, "ResetBackoff"},
-		{"wall-retries-cannot-bind", ResilientOptions{MaxAttempts: 3, MaxWallRetries: 3}, "never bind"},
-		{"wall-retries-on-single-attempt", ResilientOptions{MaxAttempts: 1, MaxWallRetries: 1}, "never bind"},
 		{"verify-full", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeFull}}, ""},
 		{"verify-policy-invalid", ResilientOptions{Verify: integrity.Policy{Mode: integrity.ModeSampled}}, "sampled rate"},
 	}
@@ -74,9 +69,6 @@ func TestRunResilientRejectsInvalidOptions(t *testing.T) {
 	set := smallSet(3, 100).Set(seqgen.Profile{Name: "p", Length: 100, ErrorRate: 0.05, NumPairs: 3})
 	if _, err := s.RunResilient(set, ResilientOptions{MaxAttempts: -1}); err == nil {
 		t.Fatal("negative MaxAttempts did not error")
-	}
-	if _, err := s.RunResilient(set, ResilientOptions{MaxAttempts: 2, MaxWallRetries: 5}); err == nil {
-		t.Fatal("MaxWallRetries > MaxAttempts-1 did not error")
 	}
 }
 
@@ -129,58 +121,37 @@ func TestRunResilientCtxMidRunDeadline(t *testing.T) {
 	}
 }
 
-// ResetBackoff inserts exponentially growing idle windows between attempts
-// and accounts for them in BackoffCycles and TotalCycles.
-func TestResetBackoffAccounting(t *testing.T) {
-	// Every read transaction errors: all attempts die on ErrBusFault, all
-	// pairs fall back, and with MaxAttempts=3 exactly two backoff windows
-	// are paid (none after the final attempt).
-	s := newChaosSoC(t, 0, fault.Config{Seed: 11, ReadErrorProb: 1})
+// checkLadderExhausted runs a small set on a SoC whose every attempt fails
+// and checks that the reset-and-resubmit ladder runs exactly attempts
+// submissions, each counted by failures, and that every pair degrades to the
+// software WFA.
+func checkLadderExhausted(t *testing.T, s *SoC, opts ResilientOptions, attempts int, failures func(*ResilientReport) int) {
+	t.Helper()
 	set := smallSet(3, 100).Set(seqgen.Profile{Name: "p", Length: 100, ErrorRate: 0.05, NumPairs: 3})
-	rep, err := s.RunResilient(set, ResilientOptions{ResetBackoff: 64})
+	rep, err := s.RunResilient(set, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Attempts != 3 || rep.BusErrors != 3 {
-		t.Fatalf("want 3 bus-faulted attempts, got attempts=%d busErrors=%d", rep.Attempts, rep.BusErrors)
-	}
-	if want := int64(64 + 128); rep.BackoffCycles != want {
-		t.Fatalf("BackoffCycles = %d, want %d (64<<0 + 64<<1)", rep.BackoffCycles, want)
-	}
-	if rep.TotalCycles != rep.AccelCycles+rep.BackoffCycles+rep.CPUBacktraceCycles+rep.CPUFallbackCycles+rep.IntegrityCycles {
-		t.Fatalf("TotalCycles %d does not include the backoff windows", rep.TotalCycles)
+	if rep.Attempts != attempts || failures(rep) != attempts {
+		t.Fatalf("want %d failed attempts, got attempts=%d failures=%d", attempts, rep.Attempts, failures(rep))
 	}
 	if rep.FallbackPairs != len(set.Pairs) {
 		t.Fatalf("all pairs should have fallen back, got %d/%d", rep.FallbackPairs, len(set.Pairs))
 	}
 }
 
-// MaxWallRetries bounds hang-triggered retries separately from MaxAttempts.
-func TestMaxWallRetriesBound(t *testing.T) {
-	fc := fault.Config{Seed: 21, LostGrantProb: 1}
-	set := smallSet(3, 100).Set(seqgen.Profile{Name: "p", Length: 100, ErrorRate: 0.05, NumPairs: 3})
+// Every read transaction errors: each of the DefaultMaxAttempts attempts dies
+// on ErrBusFault.
+func TestRetryLadderBusFaultExhaustsMaxAttempts(t *testing.T) {
+	s := newChaosSoC(t, 0, fault.Config{Seed: 11, ReadErrorProb: 1})
+	checkLadderExhausted(t, s, ResilientOptions{}, DefaultMaxAttempts,
+		func(r *ResilientReport) int { return r.BusErrors })
+}
 
-	// Default: every retry may be a hang retry, so all 4 attempts run.
-	s := newChaosSoC(t, 1500, fc)
-	rep, err := s.RunResilient(set, ResilientOptions{MaxAttempts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Attempts != 4 || rep.HangErrors != 4 {
-		t.Fatalf("default wall bound: want 4 hung attempts, got attempts=%d hangs=%d", rep.Attempts, rep.HangErrors)
-	}
-
-	// Explicit bound of 1: the ladder stops after the first wall retry also
-	// hangs, long before MaxAttempts.
-	s = newChaosSoC(t, 1500, fc)
-	rep, err = s.RunResilient(set, ResilientOptions{MaxAttempts: 4, MaxWallRetries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Attempts != 2 {
-		t.Fatalf("MaxWallRetries=1: want 2 attempts, got %d", rep.Attempts)
-	}
-	if rep.FallbackPairs != len(set.Pairs) {
-		t.Fatalf("pairs past the wall bound must degrade to software, got %d/%d", rep.FallbackPairs, len(set.Pairs))
-	}
+// Every read grant is lost: the watchdog diagnoses each of the MaxAttempts
+// attempts as hung.
+func TestRetryLadderHangExhaustsMaxAttempts(t *testing.T) {
+	s := newChaosSoC(t, 1500, fault.Config{Seed: 21, LostGrantProb: 1})
+	checkLadderExhausted(t, s, ResilientOptions{MaxAttempts: 4}, 4,
+		func(r *ResilientReport) int { return r.HangErrors })
 }

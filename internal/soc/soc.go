@@ -86,9 +86,6 @@ type RunOptions struct {
 	// single-Aligner hardware (the Figure 11 "[Sep]" configurations). With
 	// more than one Aligner separation is always used.
 	SeparateData bool
-	// MaxCycles bounds the simulation (hang protection); 0 means
-	// DefaultRunMaxCycles.
-	MaxCycles int64
 }
 
 // RunAccelerated executes the co-designed flow of Figure 4 on the input set:
@@ -127,14 +124,10 @@ func (s *SoC) RunAccelerated(set *seqio.InputSet, opts RunOptions) (*Report, err
 	if err := s.Driver.Start(); err != nil {
 		return nil, err
 	}
-	maxCycles := opts.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = DefaultRunMaxCycles
-	}
 	var cycles int64
 	if err := s.protectOOM(func() error {
 		var runErr error
-		cycles, runErr = s.Driver.PollIdle(maxCycles)
+		cycles, runErr = s.Driver.PollIdle(DefaultRunMaxCycles)
 		return runErr
 	}); err != nil {
 		return nil, err
@@ -174,14 +167,7 @@ func (s *SoC) RunAccelerated(set *seqio.InputSet, opts RunOptions) (*Report, err
 		return rep, nil
 	}
 
-	// CPU backtrace step (Section 4.5).
-	separate := opts.SeparateData || s.Cfg.NumAligners > 1
-	pairs := map[uint32]seqio.Pair{}
-	for _, p := range set.Pairs {
-		pairs[p.ID&core.BTIDMask] = p
-	}
-	dec := bt.NewDecoder(s.Cfg)
-	alignments, btStats, err := dec.DecodeRegion(raw, count, pairs, separate)
+	alignments, btStats, btCycles, err := s.decodeBacktrace(set, raw, count, opts.SeparateData)
 	if err != nil {
 		return nil, err
 	}
@@ -189,15 +175,34 @@ func (s *SoC) RunAccelerated(set *seqio.InputSet, opts RunOptions) (*Report, err
 		rep.Outcomes = append(rep.Outcomes, PairOutcome{ID: al.ID, Result: al.Result})
 	}
 	rep.BTStats = btStats
-	rep.CPUBacktraceCycles = s.Costs.BacktraceCycles(cpumodel.BTStats{
-		TransactionsScanned: btStats.TransactionsScanned,
-		SeparatedBytes:      btStats.SeparatedBytes,
-		RangeSteps:          btStats.RangeSteps,
-		WalkSteps:           btStats.WalkSteps,
-		MatchesInserted:     btStats.MatchesInserted,
-	}, separate)
+	rep.CPUBacktraceCycles = btCycles
 	rep.TotalCycles = rep.AccelCycles + rep.CPUBacktraceCycles
 	return rep, nil
+}
+
+// decodeBacktrace is the CPU backtrace step (Section 4.5): it decodes the
+// count-transaction backtrace region raw of a completed job over set and
+// prices the decode on the CPU model. Multi-Aligner hardware always needs
+// the data-separation method; forceSeparate selects it on a single Aligner
+// too.
+func (s *SoC) decodeBacktrace(set *seqio.InputSet, raw []byte, count int, forceSeparate bool) ([]bt.Alignment, bt.Stats, int64, error) {
+	separate := forceSeparate || s.Cfg.NumAligners > 1
+	pairs := make(map[uint32]seqio.Pair, len(set.Pairs))
+	for _, p := range set.Pairs {
+		pairs[p.ID&core.BTIDMask] = p
+	}
+	alignments, st, err := bt.NewDecoder(s.Cfg).DecodeRegion(raw, count, pairs, separate)
+	if err != nil {
+		return nil, st, 0, err
+	}
+	cycles := s.Costs.BacktraceCycles(cpumodel.BTStats{
+		TransactionsScanned: st.TransactionsScanned,
+		SeparatedBytes:      st.SeparatedBytes,
+		RangeSteps:          st.RangeSteps,
+		WalkSteps:           st.WalkSteps,
+		MatchesInserted:     st.MatchesInserted,
+	}, separate)
+	return alignments, st, cycles, nil
 }
 
 // protectOOM converts the memory model's out-of-bounds panic (an output

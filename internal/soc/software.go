@@ -55,12 +55,17 @@ func (sa *SoftwareAligner) Align(p seqio.Pair, withCIGAR bool) (align.Result, cp
 		return align.Result{Success: false}, cpumodel.WFAStats{}
 	}
 	res := al.Run(p.A, p.B)
-	return res, cpumodel.WFAStats{
-		ScoreSteps:     al.Stats.ScoreSteps,
-		CellsComputed:  al.Stats.CellsComputed,
-		BasesCompared:  al.Stats.BasesCompared,
-		Blocks16:       al.Stats.Blocks16,
-		WavefrontBytes: al.Stats.WavefrontBytes,
+	return res, wfaStats(al.Stats)
+}
+
+// wfaStats is the CPU cost model's view of one software-WFA run.
+func wfaStats(st wfa.Stats) cpumodel.WFAStats {
+	return cpumodel.WFAStats{
+		ScoreSteps:     st.ScoreSteps,
+		CellsComputed:  st.CellsComputed,
+		BasesCompared:  st.BasesCompared,
+		Blocks16:       st.Blocks16,
+		WavefrontBytes: st.WavefrontBytes,
 	}
 }
 

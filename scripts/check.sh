@@ -23,6 +23,12 @@
 #                   unnoticed
 #   8. hot-path benchmarks  the software-WFA micro-benchmarks run 100
 #                   iterations each, so they must execute, not just compile
+#   9. invariantdebug  the invariant and core packages under the verbose
+#                   invariant build tag
+#  10. naive ticker, chaos, SDC and soak campaigns (-count=1)
+#  11. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
+#                   model), BENCH_9 (SDC-defense cost), BENCH_5 (perf
+#                   counters), BENCH_10 (event skipping and fleet)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,6 +77,9 @@ echo "== hostbench module (go vet + go test) =="
 
 echo "== hot-path benchmarks (100 iterations each) =="
 go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign' -benchtime 100x .
+
+echo "== go test (invariantdebug build) =="
+go test -tags invariantdebug ./internal/invariant/ ./internal/core/
 
 # The suite above runs in the default event-skipping mode (WFASIC_SIM_MODE
 # unset => skip). Re-running the golden-bearing packages under the naive
@@ -138,6 +147,15 @@ echo "== SDC-defense cost bench (regen + diff) =="
 go run ./cmd/wfasic-serve -bench-integrity -out integrity-bench.json > /dev/null
 diff BENCH_9.json integrity-bench.json
 rm -f integrity-bench.json
+
+# BENCH_5.json is the committed perf-counter attribution of the paper's six
+# input sets. The counters are deterministic, so a diff means the hardware
+# model's behavior really changed and the snapshot must be regenerated
+# deliberately (go run ./cmd/wfasic-bench -exp perf -perf-json BENCH_5.json).
+echo "== perf attribution (regen + diff) =="
+go run ./cmd/wfasic-bench -exp perf -perf-json perf-counters.json -trace-chrome perf-trace.json > /dev/null
+diff BENCH_5.json perf-counters.json
+rm -f perf-counters.json perf-trace.json
 
 # BENCH_10.json is the committed event-skipping/fleet artifact: per-profile
 # tick-reduction factors (with the ticker-vs-skip equivalence asserted inside
