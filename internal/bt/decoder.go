@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/seqio"
+	"repro/internal/wfa"
 )
 
 // Alignment is one decoded result.
@@ -240,7 +241,7 @@ func (d *Decoder) jumpBoundaries(raw []byte, numTransactions int, pairs map[uint
 // range tracker up to the reported score (for failed alignments the score
 // record carries the last processed score budget).
 func (d *Decoder) streamTransactions(n, m, score int) int {
-	tracker := core.NewRangeTracker(d.cfg.Penalties, n, m, d.cfg.KMax)
+	tracker := wfa.NewRangeTracker(d.cfg.Penalties, n, m, d.cfg.KMax)
 	bank := core.Banking{P: d.cfg.ParallelSections, KMax: d.cfg.KMax}
 	blocks := 0
 	for s := 1; s <= score; s++ {

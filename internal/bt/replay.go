@@ -14,7 +14,7 @@ import (
 // sequence lengths it already has.
 type originIndex struct {
 	cfg     core.Config
-	tracker *core.RangeTracker
+	tracker *wfa.RangeTracker
 	stride  int   // payload bytes per block
 	base    []int // per score: index of its first block (-1 when no blocks)
 	kStart  []int // per score: diagonal of the first cell of its first block
@@ -24,7 +24,7 @@ type originIndex struct {
 func (d *Decoder) newOriginIndex(n, m, finalScore int, st *Stats) *originIndex {
 	idx := &originIndex{
 		cfg:     d.cfg,
-		tracker: core.NewRangeTracker(d.cfg.Penalties, n, m, d.cfg.KMax),
+		tracker: wfa.NewRangeTracker(d.cfg.Penalties, n, m, d.cfg.KMax),
 		stride:  d.blockStride(),
 		bank:    core.Banking{P: d.cfg.ParallelSections, KMax: d.cfg.KMax},
 	}

@@ -88,8 +88,8 @@ type AlignerHW struct {
 	// reset, not reallocated, when the next pair starts, and dead wavefronts
 	// recycle through pool, so the steady state of a job stream allocates
 	// nothing per pair.
-	tracker  *RangeTracker
-	ring     *wfRing
+	tracker  wfa.RangeTracker
+	ring     *wfa.Ring
 	pool     wfa.Pool
 	s        int
 	scoreMax int
@@ -121,13 +121,15 @@ type AlignerHW struct {
 
 // NewAlignerHW builds one Aligner for the configuration.
 func NewAlignerHW(cfg Config, idx int) *AlignerHW {
-	return &AlignerHW{
+	a := &AlignerHW{
 		cfg:        cfg,
 		bank:       Banking{P: cfg.ParallelSections, KMax: cfg.KMax},
 		idx:        idx,
 		scoreMax:   cfg.ScoreMax(),
 		originsBuf: make([]uint8, cfg.ParallelSections),
 	}
+	a.ring = wfa.NewRing(cfg.Penalties, &a.pool)
+	return a
 }
 
 // Idle reports whether the Aligner can accept a new pair.
@@ -143,9 +145,7 @@ func (a *AlignerHW) Reset() {
 	a.btEnabled = false
 	// tracker and ring are kept as caches for the next pair; the ring's
 	// wavefronts go back to the pool.
-	if a.ring != nil {
-		a.ring.reset()
-	}
+	a.ring.Reset()
 	a.s = 0
 	a.busy = 0
 	a.finished = false
@@ -190,20 +190,8 @@ func (a *AlignerHW) Start(id uint32, seqA, seqB *SeqRAM, unsupported, btEnabled 
 	}
 
 	n, m := seqA.Length, seqB.Length
-	if a.tracker == nil {
-		a.tracker = NewRangeTracker(a.cfg.Penalties, n, m, a.cfg.KMax)
-	} else {
-		a.tracker.Reset(a.cfg.Penalties, n, m, a.cfg.KMax)
-	}
-	window := a.cfg.Penalties.GapOpen + a.cfg.Penalties.GapExtend
-	if a.cfg.Penalties.Mismatch > window {
-		window = a.cfg.Penalties.Mismatch
-	}
-	if a.ring == nil || a.ring.window != window+1 {
-		a.ring = newWFRing(window+1, &a.pool)
-	} else {
-		a.ring.reset()
-	}
+	a.tracker.Reset(a.cfg.Penalties, n, m, a.cfg.KMax)
+	a.ring.Reset()
 
 	// Score 0: the initial cell M~(0,0) = 0, extended.
 	m0 := a.pool.Acquire(0, 0)
@@ -213,19 +201,13 @@ func (a *AlignerHW) Start(id uint32, seqA, seqB *SeqRAM, unsupported, btEnabled 
 	a.Stats.CellsExtended++
 	a.Stats.ExtendBlocks += int64(ext.Blocks)
 	a.Stats.ExtendCycles += int64(a.cfg.Timing.ExtendFill + ext.Blocks)
-	a.ring.put(0, nil, nil, m0)
+	a.ring.Put(0, nil, nil, m0)
 	a.busy = int64(a.cfg.Timing.StartupCycles + a.cfg.Timing.ExtendFill + ext.Blocks)
-	if a.isDone(m0) {
+	if wfa.Done(m0, n, m) {
 		a.success = true
 		a.finalK = m - n
 		a.finished = true
 	}
-}
-
-// isDone checks the termination condition against the loaded pair.
-func (a *AlignerHW) isDone(mwf *wfa.Wavefront) bool {
-	alignK := a.seqB.Length - a.seqA.Length
-	return mwf.Valid(alignK) && mwf.At(alignK) >= int32(a.seqB.Length)
 }
 
 // TakeOutput pops the oldest outbox entry (Collector side). Draining
@@ -301,10 +283,7 @@ func (a *AlignerHW) emitResult(cycle int64) {
 	a.state = alignerDraining
 	a.seqA, a.seqB = nil, nil
 	// tracker and ring stay cached for the next pair; recycle the window.
-	// (ring is nil when the very first pair was unsupported.)
-	if a.ring != nil {
-		a.ring.reset()
-	}
+	a.ring.Reset()
 }
 
 // advanceScore processes the next candidate score.
@@ -335,86 +314,16 @@ func (a *AlignerHW) advanceScore(cycle int64) {
 // executeStep computes the frame column for score s (Compute sub-modules),
 // extends it (Extend sub-modules), emits the backtrace blocks, checks
 // termination, and returns the step's cycle cost.
-func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR Range) int64 {
+func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 {
 	pen := a.cfg.Penalties
-	x, o, e := pen.Mismatch, pen.GapOpen, pen.GapExtend
+	x, oe, e := pen.Mismatch, pen.GapOpen+pen.GapExtend, pen.GapExtend
 	n, m := a.seqA.Length, a.seqB.Length
 
-	srcMx := a.ring.get(wfa.CompM, s-x)
-	srcMoe := a.ring.get(wfa.CompM, s-o-e)
-	srcIe := a.ring.get(wfa.CompI, s-e)
-	srcDe := a.ring.get(wfa.CompD, s-e)
-
-	// Compute I~(s).
-	var iwf *wfa.Wavefront
-	if !iR.Empty() {
-		iwf = a.pool.Acquire(iR.Lo, iR.Hi)
-		for k := iR.Lo; k <= iR.Hi; k++ {
-			open := srcMoe.At(k - 1)
-			ext := srcIe.At(k - 1)
-			v, tag := open, wfa.GTagOpen
-			if ext > open {
-				v, tag = ext, wfa.GTagExt
-			}
-			if wfa.ValidOffset(v) {
-				v = trimOffset(v+1, k, n, m)
-			}
-			if wfa.ValidOffset(v) {
-				iwf.Set(k, v, tag)
-			}
-		}
-	}
-
-	// Compute D~(s).
-	var dwf *wfa.Wavefront
-	if !dR.Empty() {
-		dwf = a.pool.Acquire(dR.Lo, dR.Hi)
-		for k := dR.Lo; k <= dR.Hi; k++ {
-			open := srcMoe.At(k + 1)
-			ext := srcDe.At(k + 1)
-			v, tag := open, wfa.GTagOpen
-			if ext > open {
-				v, tag = ext, wfa.GTagExt
-			}
-			v = trimOffset(v, k, n, m)
-			if wfa.ValidOffset(v) {
-				dwf.Set(k, v, tag)
-			}
-		}
-	}
-
-	// Compute M~(s) — the frame column.
-	mwf := a.pool.Acquire(mR.Lo, mR.Hi)
-	for k := mR.Lo; k <= mR.Hi; k++ {
-		a.Stats.CellsComputed++
-		var sub int32 = wfa.Invalid
-		if v := srcMx.At(k); wfa.ValidOffset(v) {
-			sub = v + 1
-		}
-		ins := iwf.At(k)
-		del := dwf.At(k)
-		v, tag := sub, wfa.MTagSub
-		if ins > v {
-			v = ins
-			if iwf.TagAt(k) == wfa.GTagOpen {
-				tag = wfa.MTagIOpen
-			} else {
-				tag = wfa.MTagIExt
-			}
-		}
-		if del > v {
-			v = del
-			if dwf.TagAt(k) == wfa.GTagOpen {
-				tag = wfa.MTagDOpen
-			} else {
-				tag = wfa.MTagDExt
-			}
-		}
-		v = trimOffset(v, k, n, m)
-		if wfa.ValidOffset(v) {
-			mwf.Set(k, v, tag)
-		}
-	}
+	// Compute I~(s), D~(s) and M~(s) — the frame column.
+	iwf, dwf, mwf := wfa.Step(&a.pool, n, m, iR, dR, mR,
+		a.ring.Get(wfa.CompM, s-x), a.ring.Get(wfa.CompM, s-oe),
+		a.ring.Get(wfa.CompI, s-e), a.ring.Get(wfa.CompD, s-e))
+	a.Stats.CellsComputed += int64(mR.Len())
 
 	// Extend phase + grid-aligned batch accounting (Figure 6 banking).
 	P := a.cfg.ParallelSections
@@ -491,93 +400,11 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR Range) int64 {
 		}
 	}
 
-	a.ring.put(s, iwf, dwf, mwf)
-	if a.isDone(mwf) {
+	a.ring.Put(s, iwf, dwf, mwf)
+	if wfa.Done(mwf, n, m) {
 		a.success = true
-		a.finalK = a.seqB.Length - a.seqA.Length
+		a.finalK = m - n
 		a.finished = true
 	}
 	return cycles
-}
-
-// trimOffset clamps a computed offset to the DP grid of a pair with
-// |a| = n, |b| = m, turning out-of-grid cells invalid (hoisted out of
-// executeStep so the hot loop carries no closure).
-func trimOffset(off int32, k, n, m int) int32 {
-	if !wfa.ValidOffset(off) {
-		return wfa.Invalid
-	}
-	if off > int32(m) || off-int32(k) > int32(n) {
-		return wfa.Invalid
-	}
-	return off
-}
-
-// wfRing is the hardware wavefront window: only the dependency window of
-// scores is retained ("in the hardware, we only keep those necessary
-// wavefront vectors", Section 4.3.1).
-type wfRing struct {
-	window  int
-	score   []int
-	m, i, d []*wfa.Wavefront
-	pool    *wfa.Pool
-}
-
-func newWFRing(window int, pool *wfa.Pool) *wfRing {
-	r := &wfRing{
-		window: window,
-		score:  make([]int, window),
-		m:      make([]*wfa.Wavefront, window),
-		i:      make([]*wfa.Wavefront, window),
-		d:      make([]*wfa.Wavefront, window),
-		pool:   pool,
-	}
-	for idx := range r.score {
-		r.score[idx] = -1
-	}
-	return r
-}
-
-// reset empties the ring for the next pair, recycling retained wavefronts.
-func (r *wfRing) reset() {
-	for idx := range r.score {
-		r.score[idx] = -1
-		r.pool.Release(r.m[idx])
-		r.pool.Release(r.i[idx])
-		r.pool.Release(r.d[idx])
-		r.m[idx], r.i[idx], r.d[idx] = nil, nil, nil
-	}
-}
-
-func (r *wfRing) get(c wfa.Component, s int) *wfa.Wavefront {
-	if s < 0 {
-		return nil
-	}
-	slot := s % r.window
-	if r.score[slot] != s {
-		return nil
-	}
-	switch c {
-	case wfa.CompM:
-		return r.m[slot]
-	case wfa.CompI:
-		return r.i[slot]
-	case wfa.CompD:
-		return r.d[slot]
-	}
-	invariant.Failf("core", "bad component %d", c)
-	return nil
-}
-
-func (r *wfRing) put(s int, iwf, dwf, mwf *wfa.Wavefront) {
-	slot := s % r.window
-	// The evicted score is window scores behind every recurrence dependency
-	// (deepest is s-window), so its wavefronts are dead: recycle them.
-	r.pool.Release(r.m[slot])
-	r.pool.Release(r.i[slot])
-	r.pool.Release(r.d[slot])
-	r.score[slot] = s
-	r.i[slot] = iwf
-	r.d[slot] = dwf
-	r.m[slot] = mwf
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/mem"
+	"repro/internal/wfa"
 )
 
 // Config describes one WFAsic instantiation.
@@ -146,7 +147,7 @@ func (c Config) Validate() error {
 // supports, Score_max = k_max*2 + x (the paper states it with x = 4).
 // Alignments whose score would exceed this are terminated with Success = 0.
 func (c Config) ScoreMax() int {
-	return c.KMax*2 + c.Penalties.Mismatch
+	return wfa.ScoreMax(c.KMax, c.Penalties)
 }
 
 // ErrorBudgetSatisfied is Equation 5: whether a pair with the given

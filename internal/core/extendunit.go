@@ -68,8 +68,8 @@ type ExtendResult struct {
 // ExtendDiag runs the Extend sub-module: starting at position i of sequence
 // a and j of sequence b, compare 16-base blocks per cycle until a mismatch
 // or a sequence end (Section 4.3.2). It is the hardware counterpart of the
-// software extend() in internal/wfa; the integration tests assert both
-// produce identical offsets.
+// software extend() in internal/wfa; TestExtendDiagMatchesByteCompare checks
+// it against a plain byte comparison.
 func ExtendDiag(a, b *SeqRAM, i, j int) ExtendResult {
 	res := ExtendResult{}
 	for {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/align"
 	"repro/internal/seqio"
 )
 
@@ -270,39 +269,4 @@ func TestWindow16(t *testing.T) {
 			t.Fatalf("Window16(%d) = %s want %s", pos, got, seq[pos:pos+take])
 		}
 	}
-}
-
-func TestRangeTrackerBasics(t *testing.T) {
-	// Penalties (4,6,2) on a 100x100 pair: score 4 creates M~ only
-	// (mismatch), scores below 4 are empty; score 8 is the first with I~/D~.
-	tr := NewRangeTracker(align.DefaultPenalties, 100, 100, 0)
-	type want struct{ iEmpty, dEmpty, mEmpty bool }
-	wants := map[int]want{
-		1: {true, true, true},
-		2: {true, true, true},
-		3: {true, true, true},
-		4: {true, true, false},
-		5: {true, true, true},
-		6: {true, true, true},
-		7: {true, true, true},
-		8: {false, false, false},
-	}
-	for s := 1; s <= 8; s++ {
-		iR, dR, mR := tr.Extend(s)
-		w := wants[s]
-		if iR.Empty() != w.iEmpty || dR.Empty() != w.dEmpty || mR.Empty() != w.mEmpty {
-			t.Fatalf("s=%d: I empty=%v D empty=%v M empty=%v, want %+v", s, iR.Empty(), dR.Empty(), mR.Empty(), w)
-		}
-	}
-	// At s=8, I~ spans k=1 only (from M~(0)); M~ spans [-1, 1].
-	if tr.IRange(8) != (Range{1, 1}) || tr.DRange(8) != (Range{-1, -1}) || tr.MRange(8) != (Range{-1, 1}) {
-		t.Fatalf("s=8 ranges: I=%+v D=%+v M=%+v", tr.IRange(8), tr.DRange(8), tr.MRange(8))
-	}
-	// Out-of-order visits panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order Extend did not panic")
-		}
-	}()
-	tr.Extend(100)
 }

@@ -115,7 +115,7 @@ func (s *SoC) EstimateBTOutputBytes(set *seqio.InputSet) (int, error) {
 // chunks, each chunk rides one 16-byte transaction, and the score record
 // adds one final transaction.
 func btRegionBytes(cfg core.Config, n, m, score int) int {
-	tracker := core.NewRangeTracker(cfg.Penalties, n, m, cfg.KMax)
+	tracker := wfa.NewRangeTracker(cfg.Penalties, n, m, cfg.KMax)
 	bank := core.Banking{P: cfg.ParallelSections, KMax: cfg.KMax}
 	blocks := 0
 	for s := 1; s <= score; s++ {

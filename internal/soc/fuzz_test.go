@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/core"
+	"repro/internal/integrity"
 	"repro/internal/seqgen"
 	"repro/internal/seqio"
+	"repro/internal/swg"
 	"repro/internal/wfa"
 )
 
@@ -134,6 +136,118 @@ func FuzzJobConfig(f *testing.F) {
 		if !valid && !errors.Is(pollErr, ErrJobRejected) {
 			t.Fatalf("invalid job (pairs=%d mrl=%d in=%#x out=%#x) not rejected: %v",
 				np, mrl, inAddr, outAddr, pollErr)
+		}
+	})
+}
+
+// FuzzAlignersAgree is the three-way differential of the two WFA tiers
+// against the independent SWG oracle: the software tier (SoftwareAligner),
+// the simulated accelerator (RunAccelerated, score-only and with backtrace)
+// and swg.Score must agree on every pair. The bytes of a and b map to bases
+// (A, C, G, T and N stay, any other byte becomes one of ACGT), x, o and e map
+// into valid penalties (1..8, 0..10 and 1..5; in-range values map to
+// themselves), and chipKMax picks k_max from {20, the chip's 3998}. The
+// boundary seeds sit on Equation 6's bound under k_max = 20, where a
+// software bound differing from the hardware's shows up as a Success split.
+func FuzzAlignersAgree(f *testing.F) {
+	const readCap = 512
+	read := seqgen.New(3, 4).RandomSequence(100)
+	evenSubs := func(n int) []byte {
+		b := append([]byte(nil), read...)
+		for i := 0; i < n; i++ {
+			pos := i * len(b) / n
+			code, _ := seqio.Code2Bit(b[pos])
+			b[pos] = seqio.Base2Bit(code + 1)
+		}
+		return b
+	}
+	long := seqgen.New(5, 6).Pair(1, readCap, 0.05)
+	over := seqgen.New(7, 8).RandomSequence(readCap + 1)
+	f.Add([]byte{}, []byte{}, uint8(4), uint8(6), uint8(2), true)                                   // empty
+	f.Add([]byte("A"), []byte("C"), uint8(4), uint8(6), uint8(2), true)                             // length 1
+	f.Add(long.A[:readCap], long.B[:min(len(long.B), readCap)], uint8(4), uint8(6), uint8(2), true) // at the cap
+	f.Add([]byte("ACGTNACGT"), []byte("ACGTAACGT"), uint8(4), uint8(6), uint8(2), true)             // 'N' base
+	f.Add(over, over, uint8(4), uint8(6), uint8(2), false)                                          // over the cap
+	f.Add(read, evenSubs(42), uint8(1), uint8(6), uint8(2), false)                                  // score 42, Score_max 41
+	f.Add(read, evenSubs(43), uint8(1), uint8(6), uint8(2), false)                                  // score 43, Score_max 41
+	f.Add(read, evenSubs(44), uint8(1), uint8(6), uint8(2), false)                                  // score 44, Score_max 41
+	f.Add(read, evenSubs(22), uint8(2), uint8(6), uint8(2), false)                                  // score 44, Score_max 42
+	f.Add(read, evenSubs(9), uint8(5), uint8(6), uint8(2), false)                                   // score 45, Score_max 45
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, xb, ob, eb uint8, chipKMax bool) {
+		bases := func(raw []byte) []byte {
+			out := make([]byte, len(raw))
+			for i, c := range raw {
+				switch c {
+				case seqio.BaseA, seqio.BaseC, seqio.BaseG, seqio.BaseT, seqio.BaseN:
+				default:
+					c = seqio.Alphabet[c&3]
+				}
+				out[i] = c
+			}
+			return out
+		}
+		p := seqio.Pair{ID: 1, A: bases(rawA), B: bases(rawB)}
+		cfg := core.ChipConfig()
+		cfg.MaxReadLenCap = readCap
+		cfg.Penalties = align.Penalties{
+			Mismatch:  1 + int(xb-1)%8,
+			GapOpen:   int(ob) % 11,
+			GapExtend: 1 + int(eb-1)%5,
+		}
+		if !chipKMax {
+			cfg.KMax = 20
+		}
+		pen := cfg.Penalties
+		supported := pairSupported(cfg, p)
+
+		sw := NewSoftwareAligner(cfg)
+		swScore, _ := sw.Align(p, false)
+		swCIGAR, _ := sw.Align(p, true)
+		if swScore.Success != swCIGAR.Success || swScore.Score != swCIGAR.Score {
+			t.Fatalf("software modes disagree: score-only %+v, CIGAR %+v", swScore, swCIGAR)
+		}
+		if swScore.Success {
+			oracle, _ := swg.Score(p.A, p.B, pen)
+			if swScore.Score < oracle {
+				t.Fatalf("software score %d below the SWG optimum %d", swScore.Score, oracle)
+			}
+			if cfg.KMax >= max(len(p.A), len(p.B)) && swScore.Score != oracle {
+				t.Fatalf("software score %d, SWG optimum %d with k_max %d covering every diagonal",
+					swScore.Score, oracle, cfg.KMax)
+			}
+			if got, ok := integrity.ReplayScore(swCIGAR.CIGAR, p.A, p.B, pen); !ok || got != swScore.Score {
+				t.Fatalf("software CIGAR %s replays to (%d, %v), want %d", swCIGAR.CIGAR, got, ok, swScore.Score)
+			}
+		}
+
+		s, err := New(cfg, 1<<23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := &seqio.InputSet{MaxReadLen: readCap, Pairs: []seqio.Pair{p}}
+		for _, bt := range []bool{false, true} {
+			rep, err := s.RunAccelerated(set, RunOptions{Backtrace: bt})
+			if err != nil {
+				t.Fatalf("bt=%v %v: %v", bt, pen, err)
+			}
+			hw := rep.Outcomes[0].Result
+			unsupported, _ := rep.Perf.Get("extractor.unsupported")
+			if (unsupported == 1) != !supported {
+				t.Fatalf("bt=%v: hardware unsupported count %d, pairSupported %v", bt, unsupported, supported)
+			}
+			if hw.Success != swScore.Success || (hw.Success && hw.Score != swScore.Score) {
+				t.Fatalf("bt=%v %v kmax=%d |a|=%d |b|=%d: hardware (%v, %d), software (%v, %d)",
+					bt, pen, cfg.KMax, len(p.A), len(p.B), hw.Success, hw.Score, swScore.Success, swScore.Score)
+			}
+			if !bt || !hw.Success {
+				continue
+			}
+			if hw.CIGAR.String() != swCIGAR.CIGAR.String() {
+				t.Fatalf("%v: CIGAR mismatch\n hw=%s\n sw=%s", pen, hw.CIGAR, swCIGAR.CIGAR)
+			}
+			if got, ok := integrity.ReplayScore(hw.CIGAR, p.A, p.B, pen); !ok || got != hw.Score {
+				t.Fatalf("hardware CIGAR %s replays to (%d, %v), want %d", hw.CIGAR, got, ok, hw.Score)
+			}
 		}
 	})
 }

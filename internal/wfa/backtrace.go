@@ -20,14 +20,14 @@ func (al *Aligner) backtrace(finalScore int) align.CIGAR {
 	// far is still growing the backing array.
 	rev := al.btScratch[:0]
 	s := finalScore
-	k := al.alignK
+	k := al.m - al.n
 	comp := CompM
 	cur := int32(al.m) // current offset (j) along the walk
 
 	for {
 		switch comp {
 		case CompM:
-			mwf := al.store.get(CompM, s)
+			mwf := al.store.Get(CompM, s)
 			if mwf == nil || !mwf.Valid(k) {
 				invariant.Failf("wfa", "backtrace lost M~ cell (s=%d,k=%d)", s, k)
 			}
@@ -41,11 +41,11 @@ func (al *Aligner) backtrace(finalScore int) align.CIGAR {
 			case MTagNone: // the initial cell M~(0,0)
 				pre = 0
 			case MTagSub:
-				pre = al.store.get(CompM, s-x).At(k) + 1
+				pre = al.store.Get(CompM, s-x).At(k) + 1
 			case MTagIOpen, MTagIExt:
-				pre = al.store.get(CompI, s).At(k)
+				pre = al.store.Get(CompI, s).At(k)
 			case MTagDOpen, MTagDExt:
-				pre = al.store.get(CompD, s).At(k)
+				pre = al.store.Get(CompD, s).At(k)
 			default:
 				invariant.Failf("wfa", "bad M~ tag %d at (s=%d,k=%d)", tag, s, k)
 			}
@@ -87,7 +87,7 @@ func (al *Aligner) backtrace(finalScore int) align.CIGAR {
 			}
 
 		case CompI:
-			iwf := al.store.get(CompI, s)
+			iwf := al.store.Get(CompI, s)
 			if iwf == nil || !iwf.Valid(k) {
 				invariant.Failf("wfa", "backtrace lost I~ cell (s=%d,k=%d)", s, k)
 			}
@@ -105,7 +105,7 @@ func (al *Aligner) backtrace(finalScore int) align.CIGAR {
 			}
 
 		case CompD:
-			dwf := al.store.get(CompD, s)
+			dwf := al.store.Get(CompD, s)
 			if dwf == nil || !dwf.Valid(k) {
 				invariant.Failf("wfa", "backtrace lost D~ cell (s=%d,k=%d)", s, k)
 			}

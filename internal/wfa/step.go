@@ -1,0 +1,109 @@
+package wfa
+
+import "repro/internal/align"
+
+// Step is the Equation 3 recurrence for one score s (Figure 2; the Compute
+// sub-module of Section 4.3, Figure 7): it computes I~(s), D~(s) and M~(s)
+// over the ranges iR, dR and mR from the four dependency wavefronts
+// M~(s-x), M~(s-o-e), I~(s-e) and D~(s-e), acquiring the results from pool
+// and trimming every cell that steps outside the DP grid of a pair with
+// |a| = n, |b| = m. Both the software Aligner and the simulated hardware
+// Aligner call it, so their cells, origin tags and backtrace streams agree by
+// construction. Ties break in one fixed order: gap-open beats gap-extend,
+// then substitution beats insertion beats deletion. A wavefront whose range
+// is empty comes back nil, without touching the pool.
+func Step(pool *Pool, n, m int, iR, dR, mR Range, mx, moe, ie, de *Wavefront) (iwf, dwf, mwf *Wavefront) {
+	// I~(s): sources shift k by +1.
+	if !iR.Empty() {
+		iwf = pool.Acquire(iR.Lo, iR.Hi)
+		for k := iR.Lo; k <= iR.Hi; k++ {
+			v, tag := moe.At(k-1), GTagOpen
+			if ext := ie.At(k - 1); ext > v {
+				v, tag = ext, GTagExt
+			}
+			if ValidOffset(v) {
+				v = trim(v+1, k, n, m)
+			}
+			if ValidOffset(v) {
+				iwf.Set(k, v, tag)
+			}
+		}
+	}
+
+	// D~(s): sources shift k by -1, offset unchanged.
+	if !dR.Empty() {
+		dwf = pool.Acquire(dR.Lo, dR.Hi)
+		for k := dR.Lo; k <= dR.Hi; k++ {
+			v, tag := moe.At(k+1), GTagOpen
+			if ext := de.At(k + 1); ext > v {
+				v, tag = ext, GTagExt
+			}
+			v = trim(v, k, n, m)
+			if ValidOffset(v) {
+				dwf.Set(k, v, tag)
+			}
+		}
+	}
+
+	// M~(s) = max(M~(s-x)+1, I~(s), D~(s)).
+	if mR.Empty() {
+		return iwf, dwf, nil
+	}
+	mwf = pool.Acquire(mR.Lo, mR.Hi)
+	for k := mR.Lo; k <= mR.Hi; k++ {
+		var sub int32 = Invalid
+		if v := mx.At(k); ValidOffset(v) {
+			sub = v + 1
+		}
+		v, tag := sub, MTagSub
+		if ins := iwf.At(k); ins > v {
+			v, tag = ins, MTagIOpen
+			if iwf.TagAt(k) == GTagExt {
+				tag = MTagIExt
+			}
+		}
+		if del := dwf.At(k); del > v {
+			v, tag = del, MTagDOpen
+			if dwf.TagAt(k) == GTagExt {
+				tag = MTagDExt
+			}
+		}
+		v = trim(v, k, n, m)
+		if ValidOffset(v) {
+			mwf.Set(k, v, tag)
+		}
+	}
+	return iwf, dwf, mwf
+}
+
+// trim invalidates an offset on diagonal k that stepped outside the DP grid
+// (offset > |b| = m, or i = offset-k > |a| = n), mirroring the hardware's
+// validity rules.
+func trim(off int32, k, n, m int) int32 {
+	if !ValidOffset(off) || off > int32(m) || off-int32(k) > int32(n) {
+		return Invalid
+	}
+	return off
+}
+
+// Done reports whether M~ wavefront mwf has reached the end of both
+// sequences of a pair with |a| = n, |b| = m: the termination test of the
+// score loop, cell (k = m-n, offset = m).
+func Done(mwf *Wavefront, n, m int) bool {
+	k := m - n
+	return mwf.Valid(k) && mwf.At(k) >= int32(m)
+}
+
+// depth is the deepest score dependency of the recurrence, max(x, o+e): a
+// wavefront of score s reads no score older than s-depth.
+func depth(p align.Penalties) int {
+	return max(p.Mismatch, p.GapOpen+p.GapExtend)
+}
+
+// ScoreMax is Equation 6: the largest alignment score a wavefront window of
+// diagonals [-kmax, kmax] supports, Score_max = kmax*2 + x (the paper states
+// it with x = 4). Alignments whose score would exceed it terminate with
+// Success = 0, in the hardware and under Options.MaxK alike.
+func ScoreMax(kmax int, p align.Penalties) int {
+	return kmax*2 + p.Mismatch
+}

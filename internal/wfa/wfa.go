@@ -20,7 +20,8 @@ type Options struct {
 	// sequence lengths).
 	MaxScore int
 	// MaxK clamps the diagonal range to [-MaxK, MaxK], the hardware's k_max
-	// design parameter (Section 4.3.1). Zero means unbounded.
+	// design parameter (Section 4.3.1), and caps the score at
+	// ScoreMax(MaxK, penalties) as the hardware does. Zero means unbounded.
 	MaxK int
 }
 
@@ -49,17 +50,18 @@ type Aligner struct {
 	opts  Options
 	store wfStore
 
-	// Reused machinery (pool.go): stores are rebuilt in place per Run, dead
-	// wavefronts recycle through pool, backtrace ops accumulate in btScratch.
+	// Reused machinery (pool.go): stores and the range tracker are rebuilt
+	// in place per Run, dead wavefronts recycle through pool, backtrace ops
+	// accumulate in btScratch.
 	full      *fullStore
-	ring      *ringStore
+	ring      *Ring
+	tracker   RangeTracker
 	pool      Pool
 	btScratch []align.Op
 
-	a, b   []byte
-	n, m   int
-	alignK int
-	Stats  Stats
+	a, b  []byte
+	n, m  int
+	Stats Stats
 }
 
 // New returns an Aligner for the penalty set. Invalid penalties — which can
@@ -101,7 +103,6 @@ func safeMaxScore(n, m int, p align.Penalties) int {
 func (al *Aligner) Run(a, b []byte) align.Result {
 	al.a, al.b = a, b
 	al.n, al.m = len(a), len(b)
-	al.alignK = al.m - al.n
 	al.Stats = Stats{}
 
 	maxScore := al.opts.MaxScore
@@ -109,18 +110,13 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 		maxScore = safeMaxScore(al.n, al.m, al.pen)
 	}
 	if al.opts.MaxK > 0 {
-		// Equation 6: Score_max = k_max*2 + 4. A k_max too small for the
-		// final diagonal makes the alignment unreachable; the run will hit
-		// maxScore and report Success=false, as the hardware does.
-		if eqScore := al.opts.MaxK*2 + 4; eqScore < maxScore {
-			maxScore = eqScore
-		}
+		// Equation 6. A k_max too small for the final diagonal makes the
+		// alignment unreachable; the run will hit maxScore and report
+		// Success=false, as the hardware does.
+		maxScore = min(maxScore, ScoreMax(al.opts.MaxK, al.pen))
 	}
+	al.tracker.Reset(al.pen, al.n, al.m, al.opts.MaxK)
 
-	window := al.pen.GapOpen + al.pen.GapExtend
-	if al.pen.Mismatch > window {
-		window = al.pen.Mismatch
-	}
 	if al.opts.WithCIGAR {
 		if al.full == nil {
 			al.full = newFullStore(maxScore, &al.pool)
@@ -129,21 +125,21 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 		}
 		al.store = al.full
 	} else {
-		if al.ring == nil || al.ring.window != window+1 {
-			al.ring = newRingStore(window+1, &al.pool)
+		if al.ring == nil {
+			al.ring = NewRing(al.pen, &al.pool)
 		} else {
-			al.ring.reset()
+			al.ring.Reset()
 		}
 		al.store = al.ring
 	}
 
 	// Initial condition M~(0,0) = 0, then extend (Section 2.3).
-	m0 := al.newWF(0, 0)
+	m0 := al.pool.Acquire(0, 0)
 	m0.Set(0, 0, MTagNone)
 	al.extend(m0)
-	al.store.put(CompM, 0, m0)
+	al.store.Put(0, nil, nil, m0)
 	al.observe(m0)
-	if al.done(m0) {
+	if Done(m0, al.n, al.m) {
 		res := align.Result{Score: 0, Success: true}
 		al.Stats.Score = 0
 		if al.opts.WithCIGAR {
@@ -155,11 +151,11 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 	emptyRun := 0
 	for s := 1; s <= maxScore; s++ {
 		al.Stats.ScoreSteps++
-		mwf := al.computeScore(s)
-		if mwf.Len() == 0 {
-			al.store.put(CompM, s, nil)
+		iwf, dwf, mwf := al.computeScore(s)
+		if mwf == nil {
+			al.store.Put(s, iwf, dwf, nil)
 			emptyRun++
-			if emptyRun > window {
+			if emptyRun > depth(al.pen) {
 				// Nothing in the dependency window: no wavefront can ever
 				// be generated again. Unreachable goal (possible only under
 				// a MaxK clamp).
@@ -170,9 +166,9 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 		emptyRun = 0
 		al.Stats.NonEmptySteps++
 		al.extend(mwf)
-		al.store.put(CompM, s, mwf)
+		al.store.Put(s, iwf, dwf, mwf)
 		al.observe(mwf)
-		if al.done(mwf) {
+		if Done(mwf, al.n, al.m) {
 			al.Stats.Score = s
 			res := align.Result{Score: s, Success: true}
 			if al.opts.WithCIGAR {
@@ -194,150 +190,16 @@ func (al *Aligner) observe(mwf *Wavefront) {
 	al.Stats.WavefrontBytes += int64(w) * 15 // 3 components x (4B offset + 1B tag)
 }
 
-// done reports whether the wavefront has reached the end of both sequences.
-func (al *Aligner) done(mwf *Wavefront) bool {
-	return mwf.Valid(al.alignK) && mwf.At(al.alignK) >= int32(al.m)
-}
-
-// clampRange applies the structural diagonal bounds: the DP-matrix corners
-// and, when configured, the hardware k_max.
-func (al *Aligner) clampRange(lo, hi int) (int, int) {
-	if lo < -al.n {
-		lo = -al.n
-	}
-	if hi > al.m {
-		hi = al.m
-	}
-	if al.opts.MaxK > 0 {
-		if lo < -al.opts.MaxK {
-			lo = -al.opts.MaxK
-		}
-		if hi > al.opts.MaxK {
-			hi = al.opts.MaxK
-		}
-	}
-	return lo, hi
-}
-
-// trim invalidates an offset that stepped outside the DP-matrix
-// (offset > |b|, or i = offset-k > |a|), mirroring the hardware's validity
-// rules.
-func (al *Aligner) trim(off int32, k int) int32 {
-	if !ValidOffset(off) {
-		return Invalid
-	}
-	if off > int32(al.m) || off-int32(k) > int32(al.n) {
-		return Invalid
-	}
-	return off
-}
-
-// computeScore computes I~(s), D~(s) and M~(s) from the dependency wavefronts
-// (Equation 3 / Figure 2) and returns M~(s). I~ and D~ are stored as a side
-// effect.
-func (al *Aligner) computeScore(s int) *Wavefront {
-	x, o, e := al.pen.Mismatch, al.pen.GapOpen, al.pen.GapExtend
-	srcMx := al.getWF(CompM, s-x)
-	srcMoe := al.getWF(CompM, s-o-e)
-	srcIe := al.getWF(CompI, s-e)
-	srcDe := al.getWF(CompD, s-e)
-
-	// I~(s): sources shift k by +1.
-	var iwf *Wavefront
-	if srcMoe.Len() > 0 || srcIe.Len() > 0 {
-		lo, hi := rangeUnion(srcMoe, srcIe)
-		lo, hi = al.clampRange(lo+1, hi+1)
-		if lo <= hi {
-			iwf = al.newWF(lo, hi)
-			for k := lo; k <= hi; k++ {
-				open := srcMoe.At(k - 1)
-				ext := srcIe.At(k - 1)
-				var v int32
-				var tag uint8
-				if open >= ext { // tie: open wins
-					v, tag = open, GTagOpen
-				} else {
-					v, tag = ext, GTagExt
-				}
-				if ValidOffset(v) {
-					v = al.trim(v+1, k)
-				}
-				if ValidOffset(v) {
-					iwf.Set(k, v, tag)
-				}
-			}
-		}
-	}
-	al.store.put(CompI, s, iwf)
-
-	// D~(s): sources shift k by -1, offset unchanged.
-	var dwf *Wavefront
-	if srcMoe.Len() > 0 || srcDe.Len() > 0 {
-		lo, hi := rangeUnion(srcMoe, srcDe)
-		lo, hi = al.clampRange(lo-1, hi-1)
-		if lo <= hi {
-			dwf = al.newWF(lo, hi)
-			for k := lo; k <= hi; k++ {
-				open := srcMoe.At(k + 1)
-				ext := srcDe.At(k + 1)
-				var v int32
-				var tag uint8
-				if open >= ext {
-					v, tag = open, GTagOpen
-				} else {
-					v, tag = ext, GTagExt
-				}
-				v = al.trim(v, k)
-				if ValidOffset(v) {
-					dwf.Set(k, v, tag)
-				}
-			}
-		}
-	}
-	al.store.put(CompD, s, dwf)
-
-	// M~(s) = max(M~(s-x)+1, I~(s), D~(s)). An empty clamped range returns
-	// nil without touching the pool — acquiring a zero-width wavefront here
-	// would leak it (the caller stores nil for empty scores), and empty
-	// scores are common under gap-affine penalties.
-	lo, hi := rangeUnion3(srcMx, iwf, dwf)
-	lo, hi = al.clampRange(lo, hi)
-	if lo > hi {
-		return nil
-	}
-	mwf := al.newWF(lo, hi)
-	for k := mwf.Lo; k <= mwf.Hi; k++ {
-		al.Stats.CellsComputed++
-		var sub int32 = Invalid
-		if v := srcMx.At(k); ValidOffset(v) {
-			sub = v + 1
-		}
-		ins := iwf.At(k)
-		del := dwf.At(k)
-		// Tie-break order: substitution, insertion, deletion.
-		v, tag := sub, MTagSub
-		if ins > v {
-			v = ins
-			if iwf.TagAt(k) == GTagOpen {
-				tag = MTagIOpen
-			} else {
-				tag = MTagIExt
-			}
-		}
-		if del > v {
-			v = del
-			if dwf.TagAt(k) == GTagOpen {
-				tag = MTagDOpen
-			} else {
-				tag = MTagDExt
-			}
-		}
-		v = al.trim(v, k)
-		if ValidOffset(v) {
-			mwf.Set(k, v, tag)
-		}
-	}
-	return mwf
+// computeScore computes I~(s), D~(s) and M~(s) over the tracker's ranges
+// from the dependency wavefronts (Equation 3 / Figure 2). M~(s) is nil when
+// its range is empty.
+func (al *Aligner) computeScore(s int) (iwf, dwf, mwf *Wavefront) {
+	x, oe, e := al.pen.Mismatch, al.pen.GapOpen+al.pen.GapExtend, al.pen.GapExtend
+	iR, dR, mR := al.tracker.Extend(s)
+	al.Stats.CellsComputed += int64(mR.Len())
+	return Step(&al.pool, al.n, al.m, iR, dR, mR,
+		al.store.Get(CompM, s-x), al.store.Get(CompM, s-oe),
+		al.store.Get(CompI, s-e), al.store.Get(CompD, s-e))
 }
 
 // extend advances every valid M~ cell along its diagonal while bases match
@@ -371,64 +233,11 @@ func (al *Aligner) extend(mwf *Wavefront) {
 	}
 }
 
-// newWF returns an all-invalid wavefront spanning [lo, hi], recycling pooled
-// storage when available (pool.go).
-func (al *Aligner) newWF(lo, hi int) *Wavefront {
-	return al.pool.Acquire(lo, hi)
-}
-
-// getWF fetches a dependency wavefront; negative scores are nil.
-func (al *Aligner) getWF(c Component, s int) *Wavefront {
-	if s < 0 {
-		return nil
-	}
-	return al.store.get(c, s)
-}
-
-// rangeUnion returns the union of the diagonal ranges of two wavefronts
-// (either may be nil/empty). When both are empty it returns an empty range.
-func rangeUnion(a, b *Wavefront) (lo, hi int) {
-	switch {
-	case a.Len() == 0 && b.Len() == 0:
-		return 1, 0
-	case a.Len() == 0:
-		return b.Lo, b.Hi
-	case b.Len() == 0:
-		return a.Lo, a.Hi
-	}
-	lo, hi = a.Lo, a.Hi
-	if b.Lo < lo {
-		lo = b.Lo
-	}
-	if b.Hi > hi {
-		hi = b.Hi
-	}
-	return lo, hi
-}
-
-// rangeUnion3 is rangeUnion over three wavefronts.
-func rangeUnion3(a, b, c *Wavefront) (lo, hi int) {
-	lo, hi = rangeUnion(a, b)
-	if c.Len() == 0 {
-		return lo, hi
-	}
-	if lo > hi {
-		return c.Lo, c.Hi
-	}
-	if c.Lo < lo {
-		lo = c.Lo
-	}
-	if c.Hi > hi {
-		hi = c.Hi
-	}
-	return lo, hi
-}
-
 // wfStore abstracts wavefront retention: full (for backtrace) or a sliding
 // window (score-only).
 type wfStore interface {
-	get(c Component, s int) *Wavefront
-	put(c Component, s int, w *Wavefront)
+	Get(c Component, s int) *Wavefront
+	Put(s int, iwf, dwf, mwf *Wavefront)
 }
 
 type fullStore struct {
@@ -474,74 +283,82 @@ func (st *fullStore) reset(maxScore int) {
 	}
 }
 
-func (st *fullStore) get(c Component, s int) *Wavefront {
+func (st *fullStore) Get(c Component, s int) *Wavefront {
 	if s < 0 || s >= len(st.wfs[c]) {
 		return nil
 	}
 	return st.wfs[c][s]
 }
 
-func (st *fullStore) put(c Component, s int, w *Wavefront) {
-	if s >= len(st.wfs[c]) {
-		invariant.Failf("wfa", "score %d beyond store capacity %d", s, len(st.wfs[c]))
+func (st *fullStore) Put(s int, iwf, dwf, mwf *Wavefront) {
+	if s >= len(st.wfs[CompM]) {
+		invariant.Failf("wfa", "score %d beyond store capacity %d", s, len(st.wfs[CompM]))
 	}
-	st.wfs[c][s] = w
+	st.wfs[CompM][s], st.wfs[CompI][s], st.wfs[CompD][s] = mwf, iwf, dwf
 }
 
-// ringStore keeps only the last `window` scores — the hardware's "only keep
-// those necessary wavefront vectors" policy (Section 4.3.1).
-type ringStore struct {
+// Ring is the wavefront window: only the scores the recurrence can still
+// read are retained, the hardware's "only keep those necessary wavefront
+// vectors" policy (Section 4.3.1). The hardware Aligner always keeps one;
+// the software Aligner keeps one in score-only mode. Dead wavefronts
+// recycle through the owner's Pool.
+type Ring struct {
 	window int
 	score  []int
 	wfs    [numComponents][]*Wavefront
 	pool   *Pool
 }
 
-// reset empties the ring for the next run, recycling retained wavefronts.
-func (st *ringStore) reset() {
-	for i := range st.score {
-		st.score[i] = -1
+// NewRing returns an empty window sized for the penalties' dependency depth:
+// max(x, o+e)+1 scores, so the deepest dependency of score s, s-max(x, o+e),
+// is still retained while s is computed.
+func NewRing(p align.Penalties, pool *Pool) *Ring {
+	window := depth(p) + 1
+	r := &Ring{window: window, score: make([]int, window), pool: pool}
+	for c := range r.wfs {
+		r.wfs[c] = make([]*Wavefront, window)
 	}
-	for c := range st.wfs {
-		for i, w := range st.wfs[c] {
-			st.pool.Release(w)
-			st.wfs[c][i] = nil
+	r.Reset()
+	return r
+}
+
+// Reset empties the ring for the next pair, recycling retained wavefronts.
+// They go back component by component (every M~, then I~, then D~): in that
+// order the LIFO pool stops allocating within two runs, which the alloc pins
+// rely on.
+func (r *Ring) Reset() {
+	for slot := range r.score {
+		r.score[slot] = -1
+	}
+	for c := range r.wfs {
+		for slot := range r.score {
+			r.pool.Release(r.wfs[c][slot])
+			r.wfs[c][slot] = nil
 		}
 	}
 }
 
-func newRingStore(window int, pool *Pool) *ringStore {
-	st := &ringStore{window: window, score: make([]int, window), pool: pool}
-	for i := range st.score {
-		st.score[i] = -1
-	}
-	for c := range st.wfs {
-		st.wfs[c] = make([]*Wavefront, window)
-	}
-	return st
-}
-
-func (st *ringStore) get(c Component, s int) *Wavefront {
+// Get returns the retained wavefront of component c at score s, or nil when
+// s is negative or no longer (or not yet) in the window.
+func (r *Ring) Get(c Component, s int) *Wavefront {
 	if s < 0 {
 		return nil
 	}
-	slot := s % st.window
-	if st.score[slot] != s {
+	slot := s % r.window
+	if r.score[slot] != s {
 		return nil
 	}
-	return st.wfs[c][slot]
+	return r.wfs[c][slot]
 }
 
-func (st *ringStore) put(c Component, s int, w *Wavefront) {
-	slot := s % st.window
-	if st.score[slot] != s {
-		st.score[slot] = s
-		// The evicted score is window scores behind every dependency window,
-		// so its wavefronts are dead: recycle them.
-		for comp := range st.wfs {
-			st.pool.Release(st.wfs[comp][slot])
-			st.wfs[comp][slot] = nil
-		}
+// Put stores the three wavefronts of score s (any may be nil). The evicted
+// score is window scores behind every dependency of s, so its wavefronts
+// are dead: they go back to the pool.
+func (r *Ring) Put(s int, iwf, dwf, mwf *Wavefront) {
+	slot := s % r.window
+	for c := range r.wfs {
+		r.pool.Release(r.wfs[c][slot])
 	}
-	st.wfs[c][slot] = w
+	r.score[slot] = s
+	r.wfs[CompM][slot], r.wfs[CompI][slot], r.wfs[CompD][slot] = mwf, iwf, dwf
 }

@@ -164,8 +164,8 @@ func TestMaxScoreAbort(t *testing.T) {
 }
 
 func TestMaxKClamp(t *testing.T) {
-	// Equation 6: Score_max = 2*k_max + 4. An alignment needing a diagonal
-	// beyond k_max must fail; one within it must succeed.
+	// Equation 6: Score_max = 2*k_max + x, with x = 4 here. An alignment
+	// needing a diagonal beyond k_max must fail; one within it must succeed.
 	g := seqgen.New(3, 4)
 	pair := g.Pair(0, 200, 0.05)
 	ref, _ := swg.Score(pair.A, pair.B, align.DefaultPenalties)

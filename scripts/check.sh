@@ -21,12 +21,15 @@
 #                   repro => ../), so steps 2-6 never compile it: vet and
 #                   test it separately so an API change cannot break it
 #                   unnoticed
-#   8. hot-path benchmarks  the software-WFA micro-benchmarks run 100
-#                   iterations each, so they must execute, not just compile
-#   9. invariantdebug  the invariant and core packages under the verbose
+#   8. hot-path benchmarks  the software-WFA micro-benchmarks and the
+#                   simulated accelerator run 100 iterations each, so they
+#                   must execute, not just compile
+#   9. fuzz         FuzzAlignersAgree for 30 s: software WFA, the simulated
+#                   accelerator and the SWG oracle agree on fuzzed pairs
+#  10. invariantdebug  the invariant and core packages under the verbose
 #                   invariant build tag
-#  10. naive ticker, chaos, SDC and soak campaigns (-count=1)
-#  11. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
+#  11. naive ticker, chaos, SDC and soak campaigns (-count=1)
+#  12. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
 #                   model), BENCH_9 (SDC-defense cost), BENCH_5 (perf
 #                   counters), BENCH_10 (event skipping and fleet)
 set -euo pipefail
@@ -76,7 +79,10 @@ echo "== hostbench module (go vet + go test) =="
 (cd hostbench && go vet . && go test .)
 
 echo "== hot-path benchmarks (100 iterations each) =="
-go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign' -benchtime 100x .
+go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign|MachineAlign' -benchtime 100x .
+
+echo "== three-way aligner differential (fuzz, 30 s) =="
+go test -run '^$' -fuzz '^FuzzAlignersAgree$' -fuzztime 30s ./internal/soc/
 
 echo "== go test (invariantdebug build) =="
 go test -tags invariantdebug ./internal/invariant/ ./internal/core/
