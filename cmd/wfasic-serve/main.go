@@ -35,11 +35,11 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		devices    = flag.Int("devices", 2, "simulated WFAsic devices in the fleet")
-		swWorkers  = flag.Int("sw-workers", 2, "software-WFA workers (degradation floor)")
-		queueLimit = flag.Int("queue-limit", 4096, "max admitted-but-unanswered pairs")
-		batchPairs = flag.Int("batch-pairs", 64, "pairs per device job")
-		batchDelay = flag.Duration("batch-delay", 2*time.Millisecond, "max wait to fill a batch")
+		devices    = flag.Int("devices", serve.DefaultDevices, "simulated WFAsic devices in the fleet")
+		swWorkers  = flag.Int("sw-workers", serve.DefaultSoftwareWorkers, "software-WFA workers (degradation floor)")
+		queueLimit = flag.Int("queue-limit", serve.DefaultQueueLimit, "max admitted-but-unanswered pairs")
+		batchPairs = flag.Int("batch-pairs", serve.DefaultBatchPairs, "pairs per device job")
+		batchDelay = flag.Duration("batch-delay", serve.DefaultBatchDelay, "max wait to fill a batch")
 		tenantRate = flag.Float64("tenant-rate", 0, "per-tenant quota in pairs/sec (0 = unlimited)")
 		timeout    = flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
 		verify     = flag.Bool("verify-scores", false, "cross-check hardware results against the software oracle")

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/seqio"
-	"repro/internal/wfa"
 )
 
 // Alignment is one decoded result.
@@ -52,13 +51,6 @@ type Decoder struct {
 
 // NewDecoder returns a decoder for the accelerator configuration.
 func NewDecoder(cfg core.Config) *Decoder { return &Decoder{cfg: cfg} }
-
-// blockStride is the payload footprint of one origin block: blocks are
-// zero-padded to whole 10-byte payload chunks by the Collector.
-func (d *Decoder) blockStride() int {
-	bb := d.cfg.BTBlockBytes()
-	return (bb + core.BTPayloadBytes - 1) / core.BTPayloadBytes * core.BTPayloadBytes
-}
 
 // payloadReader abstracts where the origin stream lives: a separated flat
 // buffer (multi-Aligner) or a gap-aware view of the raw transactions
@@ -217,7 +209,9 @@ func (d *Decoder) jumpBoundaries(raw []byte, numTransactions int, pairs map[uint
 		if !ok {
 			return nil, fmt.Errorf("bt: score record for unknown alignment ID %d", tr.ID)
 		}
-		numTx := d.streamTransactions(len(pair.A), len(pair.B), int(rec.Score))
+		// For a failed alignment the record carries the last score budget
+		// processed, which sizes its stream the same way.
+		numTx := d.cfg.BTStreamTransactions(len(pair.A), len(pair.B), int(rec.Score))
 		start := idx - numTx
 		if start < 0 {
 			return nil, fmt.Errorf("bt: alignment %d claims %d transactions but only %d precede it", tr.ID, numTx, idx)
@@ -234,21 +228,4 @@ func (d *Decoder) jumpBoundaries(raw []byte, numTransactions int, pairs map[uint
 		streams[i], streams[j] = streams[j], streams[i]
 	}
 	return streams, nil
-}
-
-// streamTransactions computes how many payload transactions one alignment's
-// origin stream occupies: its blocks are replayed from the data-independent
-// range tracker up to the reported score (for failed alignments the score
-// record carries the last processed score budget).
-func (d *Decoder) streamTransactions(n, m, score int) int {
-	tracker := wfa.NewRangeTracker(d.cfg.Penalties, n, m, d.cfg.KMax)
-	bank := core.Banking{P: d.cfg.ParallelSections, KMax: d.cfg.KMax}
-	blocks := 0
-	for s := 1; s <= score; s++ {
-		_, _, mR := tracker.Extend(s)
-		if !mR.Empty() {
-			blocks += bank.NumBatches(mR.Lo, mR.Hi)
-		}
-	}
-	return blocks * (d.blockStride() / core.BTPayloadBytes)
 }

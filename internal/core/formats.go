@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/wfa"
 )
 
 // This file implements the exact output formats of Section 4.4 (Collector
@@ -106,6 +107,31 @@ func UnpackBTTransaction(b []byte) (BTTransaction, error) {
 	t.ID = info & BTIDMask
 	t.Last = info&(1<<23) != 0
 	return t, nil
+}
+
+// BTBlockTransactions is how many payload transactions one origin block
+// occupies: the Collector zero-pads every block to whole BTPayloadBytes
+// chunks, one chunk per transaction.
+func (c Config) BTBlockTransactions() int {
+	return (c.BTBlockBytes() + BTPayloadBytes - 1) / BTPayloadBytes
+}
+
+// BTStreamTransactions is the payload-transaction count of one alignment's
+// backtrace stream, its score record not included. The layout depends only
+// on the configuration, the read lengths n and m and the score the record
+// reports: every score 1..score whose M~ range is non-empty emits one origin
+// block per parallel-section batch of that range. The CPU sizes the output
+// region and finds stream boundaries with it, without reading the stream.
+func (c Config) BTStreamTransactions(n, m, score int) int {
+	tracker := wfa.NewRangeTracker(c.Penalties, n, m, c.KMax)
+	bank := Banking{P: c.ParallelSections, KMax: c.KMax}
+	blocks := 0
+	for s := 1; s <= score; s++ {
+		if _, _, mR := tracker.Extend(s); !mR.Empty() {
+			blocks += bank.NumBatches(mR.Lo, mR.Hi)
+		}
+	}
+	return blocks * c.BTBlockTransactions()
 }
 
 // ScoreRecord is the final datum of a backtrace-enabled alignment: "These

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // Entry is one named hardware counter value. Names are dotted module paths
@@ -125,20 +124,4 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 		s.Entries = append(s.Entries, Entry{Name: key, Value: v})
 	}
 	return nil
-}
-
-// WriteJSON writes the snapshot as indented JSON (one counter per line, in
-// index order) followed by a newline — the machine-readable perf artifact.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	raw, err := s.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	var pretty bytes.Buffer
-	if err := json.Indent(&pretty, raw, "", "  "); err != nil {
-		return err
-	}
-	pretty.WriteByte('\n')
-	_, err = w.Write(pretty.Bytes())
-	return err
 }

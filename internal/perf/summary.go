@@ -2,7 +2,6 @@ package perf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -99,15 +98,4 @@ func maxOcc(counts []int64) int {
 		}
 	}
 	return 0
-}
-
-// SortedNames returns the snapshot's counter names sorted alphabetically —
-// a convenience for tests that diff against an expected set.
-func SortedNames(s Snapshot) []string {
-	names := make([]string, 0, len(s.Entries))
-	for _, e := range s.Entries {
-		names = append(names, e.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -46,6 +46,17 @@ import (
 // costs memory once per device, not time per batch.
 const deviceMemBytes = 8 << 20
 
+// The zero-value defaults of Config's fleet, admission and batching knobs.
+// They are exported so that callers mirroring a default Server (the
+// wfasic-serve flags) use the same values.
+const (
+	DefaultDevices         = 2
+	DefaultSoftwareWorkers = 2
+	DefaultQueueLimit      = 4096
+	DefaultBatchPairs      = 64
+	DefaultBatchDelay      = 2 * time.Millisecond
+)
+
 // Config parameterizes a Server. The zero value of every knob selects a
 // validated default; invalid explicit values are rejected by Validate.
 type Config struct {
@@ -112,22 +123,22 @@ type Config struct {
 // withDefaults resolves the zero values. It does not validate.
 func (c Config) withDefaults() Config {
 	if c.Devices == 0 {
-		c.Devices = 2
+		c.Devices = DefaultDevices
 	}
 	if c.SoftwareWorkers == 0 {
-		c.SoftwareWorkers = 2
+		c.SoftwareWorkers = DefaultSoftwareWorkers
 	}
 	if c.Core.NumAligners == 0 {
 		c.Core = core.ChipConfig()
 	}
 	if c.QueueLimit == 0 {
-		c.QueueLimit = 4096
+		c.QueueLimit = DefaultQueueLimit
 	}
 	if c.BatchPairs == 0 {
-		c.BatchPairs = 64
+		c.BatchPairs = DefaultBatchPairs
 	}
 	if c.BatchDelay == 0 {
-		c.BatchDelay = 2 * time.Millisecond
+		c.BatchDelay = DefaultBatchDelay
 	}
 	if c.MaxPairsPerRequest == 0 {
 		c.MaxPairsPerRequest = 256
@@ -376,9 +387,6 @@ func (s *Server) Drain() *Metrics {
 	s.inflight.Wait()
 	return s.metrics
 }
-
-// Metrics exposes the service counters (live; safe for concurrent reads).
-func (s *Server) MetricsHandle() *Metrics { return s.metrics }
 
 // DeviceStates returns each device's current breaker state, for /healthz.
 func (s *Server) DeviceStates() []string {

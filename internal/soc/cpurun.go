@@ -2,7 +2,6 @@ package soc
 
 import (
 	"repro/internal/align"
-	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/mem"
 	"repro/internal/seqio"
@@ -92,8 +91,8 @@ func (s *SoC) RunCPU(set *seqio.InputSet, mode CPUMode, withBacktrace bool) (*CP
 
 // EstimateBTOutputBytes predicts the exact backtrace-region footprint of a
 // set (used to size main memory before a backtrace-enabled run). It runs the
-// score-only software WFA per pair and replays the block layout with the
-// same data-independent range tracker the hardware iterates with.
+// score-only software WFA per pair and sizes each stream from its score with
+// core.Config.BTStreamTransactions.
 func (s *SoC) EstimateBTOutputBytes(set *seqio.InputSet) (int, error) {
 	total := 0
 	for _, p := range set.Pairs {
@@ -105,26 +104,8 @@ func (s *SoC) EstimateBTOutputBytes(set *seqio.InputSet) (int, error) {
 			total += mem.BeatBytes // lone score record
 			continue
 		}
-		total += btRegionBytes(s.Cfg, len(p.A), len(p.B), res.Score)
+		// The payload transactions, then the score record.
+		total += (s.Cfg.BTStreamTransactions(len(p.A), len(p.B), res.Score) + 1) * mem.BeatBytes
 	}
 	return total, nil
-}
-
-// btRegionBytes computes one successful alignment's backtrace-stream
-// footprint: every origin block is zero-padded to whole 10-byte payload
-// chunks, each chunk rides one 16-byte transaction, and the score record
-// adds one final transaction.
-func btRegionBytes(cfg core.Config, n, m, score int) int {
-	tracker := wfa.NewRangeTracker(cfg.Penalties, n, m, cfg.KMax)
-	bank := core.Banking{P: cfg.ParallelSections, KMax: cfg.KMax}
-	blocks := 0
-	for s := 1; s <= score; s++ {
-		_, _, mR := tracker.Extend(s)
-		if !mR.Empty() {
-			blocks += bank.NumBatches(mR.Lo, mR.Hi)
-		}
-	}
-	stride := (cfg.BTBlockBytes() + core.BTPayloadBytes - 1) / core.BTPayloadBytes
-	transactions := blocks*stride + 1
-	return transactions * mem.BeatBytes
 }

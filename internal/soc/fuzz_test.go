@@ -148,7 +148,9 @@ func FuzzJobConfig(f *testing.F) {
 // into valid penalties (1..8, 0..10 and 1..5; in-range values map to
 // themselves), and chipKMax picks k_max from {20, the chip's 3998}. The
 // boundary seeds sit on Equation 6's bound under k_max = 20, where a
-// software bound differing from the hardware's shows up as a Success split.
+// software bound differing from the hardware's shows up as a Success split;
+// the gap-open-0, indel-run and empty-read seeds drive both backtrace walks
+// through gap chains that start or end at a read boundary.
 func FuzzAlignersAgree(f *testing.F) {
 	const readCap = 512
 	read := seqgen.New(3, 4).RandomSequence(100)
@@ -163,16 +165,20 @@ func FuzzAlignersAgree(f *testing.F) {
 	}
 	long := seqgen.New(5, 6).Pair(1, readCap, 0.05)
 	over := seqgen.New(7, 8).RandomSequence(readCap + 1)
-	f.Add([]byte{}, []byte{}, uint8(4), uint8(6), uint8(2), true)                                   // empty
-	f.Add([]byte("A"), []byte("C"), uint8(4), uint8(6), uint8(2), true)                             // length 1
-	f.Add(long.A[:readCap], long.B[:min(len(long.B), readCap)], uint8(4), uint8(6), uint8(2), true) // at the cap
-	f.Add([]byte("ACGTNACGT"), []byte("ACGTAACGT"), uint8(4), uint8(6), uint8(2), true)             // 'N' base
-	f.Add(over, over, uint8(4), uint8(6), uint8(2), false)                                          // over the cap
-	f.Add(read, evenSubs(42), uint8(1), uint8(6), uint8(2), false)                                  // score 42, Score_max 41
-	f.Add(read, evenSubs(43), uint8(1), uint8(6), uint8(2), false)                                  // score 43, Score_max 41
-	f.Add(read, evenSubs(44), uint8(1), uint8(6), uint8(2), false)                                  // score 44, Score_max 41
-	f.Add(read, evenSubs(22), uint8(2), uint8(6), uint8(2), false)                                  // score 44, Score_max 42
-	f.Add(read, evenSubs(9), uint8(5), uint8(6), uint8(2), false)                                   // score 45, Score_max 45
+	f.Add([]byte{}, []byte{}, uint8(4), uint8(6), uint8(2), true)                                      // empty
+	f.Add([]byte("A"), []byte("C"), uint8(4), uint8(6), uint8(2), true)                                // length 1
+	f.Add(long.A[:readCap], long.B[:min(len(long.B), readCap)], uint8(4), uint8(6), uint8(2), true)    // at the cap
+	f.Add([]byte("ACGTNACGT"), []byte("ACGTAACGT"), uint8(4), uint8(6), uint8(2), true)                // 'N' base
+	f.Add(over, over, uint8(4), uint8(6), uint8(2), false)                                             // over the cap
+	f.Add(read, evenSubs(42), uint8(1), uint8(6), uint8(2), false)                                     // score 42, Score_max 41
+	f.Add(read, evenSubs(43), uint8(1), uint8(6), uint8(2), false)                                     // score 43, Score_max 41
+	f.Add(read, evenSubs(44), uint8(1), uint8(6), uint8(2), false)                                     // score 44, Score_max 41
+	f.Add(read, evenSubs(22), uint8(2), uint8(6), uint8(2), false)                                     // score 44, Score_max 42
+	f.Add(read, evenSubs(9), uint8(5), uint8(6), uint8(2), false)                                      // score 45, Score_max 45
+	f.Add(long.A[:200], long.B[:200], uint8(4), uint8(0), uint8(2), true)                              // gap-open 0
+	f.Add(read, append([]byte("GGTTGG"), read...), uint8(4), uint8(6), uint8(2), true)                 // leading insertion run
+	f.Add(append(append([]byte(nil), read...), "CCAACC"...), read, uint8(4), uint8(6), uint8(2), true) // trailing deletion run
+	f.Add([]byte{}, []byte("ACGTACGT"), uint8(4), uint8(6), uint8(2), true)                            // empty read against a non-empty one
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, xb, ob, eb uint8, chipKMax bool) {
 		bases := func(raw []byte) []byte {
 			out := make([]byte, len(raw))

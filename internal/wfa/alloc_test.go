@@ -56,7 +56,7 @@ func TestAlignerRunScoreOnlyZeroAlloc(t *testing.T) {
 
 // TestAlignerRunCIGARAmortizedAllocs pins the amortized per-pair allocation
 // budget of the full-backtrace mode on the 1K-read profile. Each pair
-// legitimately allocates its caller-owned CIGAR (the reverseOps result
+// legitimately allocates its caller-owned CIGAR (the ForwardPass result
 // buffer, waived in backtrace.go); everything else — wavefront store, pool,
 // backtrace scratch — must amortize to zero after warm-up. The bound is
 // deliberately a hard ratchet: raising it needs a justification, like the

@@ -9,9 +9,9 @@ package wfa
 // plain slice keeps the recycling deterministic (the isolation analyzer
 // forbids package-level mutable state on this path anyway).
 //
-// Bit-identity: a recycled wavefront is indistinguishable from a fresh
-// NewWavefront result — Off refilled with Invalid, Tag refilled with zero —
-// so golden and chaos suites see identical results cycle for cycle.
+// Bit-identity: a recycled wavefront is indistinguishable from a freshly
+// allocated one — Off refilled with Invalid, Tag refilled with zero — so
+// golden and chaos suites see identical results cycle for cycle.
 
 // Pool is a LIFO free list of wavefronts whose backing arrays can be
 // reused.

@@ -69,9 +69,16 @@ func PackOrigin(mTag, iTag, dTag uint8) uint8 {
 	return mTag<<2 | (iTag&1)<<1 | dTag&1
 }
 
-// UnpackOrigin reverses PackOrigin.
-func UnpackOrigin(o uint8) (mTag, iTag, dTag uint8) {
-	return o >> 2, o >> 1 & 1, o & 1
+// OriginTag extracts component c's tag from a packed origin, the tag
+// BackStep decodes for a cell of c.
+func OriginTag(o uint8, c Component) uint8 {
+	switch c {
+	case CompI:
+		return o >> 1 & 1
+	case CompD:
+		return o & 1
+	}
+	return o >> 2
 }
 
 // Wavefront is one vector of Equation 3 for a single score and component:
@@ -80,19 +87,6 @@ type Wavefront struct {
 	Lo, Hi int     // valid diagonal range, inclusive; Lo > Hi means empty
 	Off    []int32 // offset of diagonal k at index k-Lo
 	Tag    []uint8 // origin tag of diagonal k at index k-Lo
-}
-
-// NewWavefront allocates an all-invalid wavefront spanning [lo, hi].
-func NewWavefront(lo, hi int) *Wavefront {
-	n := hi - lo + 1
-	if n < 0 {
-		n = 0
-	}
-	w := &Wavefront{Lo: lo, Hi: hi, Off: make([]int32, n), Tag: make([]uint8, n)}
-	for i := range w.Off {
-		w.Off[i] = Invalid
-	}
-	return w
 }
 
 // Len returns the number of diagonals the wavefront spans (0 when empty).

@@ -57,7 +57,7 @@ type Aligner struct {
 	ring      *Ring
 	tracker   RangeTracker
 	pool      Pool
-	btScratch []align.Op
+	btScratch []BackOp
 
 	a, b  []byte
 	n, m  int

@@ -26,10 +26,13 @@
 #                   must execute, not just compile
 #   9. fuzz         FuzzAlignersAgree for 30 s: software WFA, the simulated
 #                   accelerator and the SWG oracle agree on fuzzed pairs
-#  10. invariantdebug  the invariant and core packages under the verbose
+#  10. fuzz         FuzzCIGARWitness for 15 s: ReplayScore, the witness run on
+#                   every CIGAR the shared backtrace builds, agrees with
+#                   CIGAR.Validate + CIGAR.Score on arbitrary transcripts
+#  11. invariantdebug  the invariant and core packages under the verbose
 #                   invariant build tag
-#  11. naive ticker, chaos, SDC and soak campaigns (-count=1)
-#  12. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
+#  12. naive ticker, chaos, SDC and soak campaigns (-count=1)
+#  13. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
 #                   model), BENCH_9 (SDC-defense cost), BENCH_5 (perf
 #                   counters), BENCH_10 (event skipping and fleet)
 set -euo pipefail
@@ -83,6 +86,9 @@ go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign|MachineAlign' -ben
 
 echo "== three-way aligner differential (fuzz, 30 s) =="
 go test -run '^$' -fuzz '^FuzzAlignersAgree$' -fuzztime 30s ./internal/soc/
+
+echo "== CIGAR replay witness (fuzz, 15 s) =="
+go test -run '^$' -fuzz '^FuzzCIGARWitness$' -fuzztime 15s ./internal/integrity/
 
 echo "== go test (invariantdebug build) =="
 go test -tags invariantdebug ./internal/invariant/ ./internal/core/
