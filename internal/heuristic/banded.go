@@ -29,7 +29,7 @@ type Stats struct {
 // reachable from user input through the driver API — return an error.
 func BandedAlign(a, b []byte, p align.Penalties, w int) (align.Result, Stats, error) {
 	if err := p.Validate(); err != nil {
-		return align.Result{}, Stats{}, fmt.Errorf("heuristic: %w", err) //vet:allow hotalloc error construction on the reject path only
+		return align.Result{}, Stats{}, penaltyError(err)
 	}
 	if w < 1 {
 		w = 1
@@ -202,6 +202,14 @@ func BandedAlign(a, b []byte, p align.Penalties, w int) (align.Result, Stats, er
 		cigar[len(rev)-1-k] = op
 	}
 	return align.Result{Score: int(final), CIGAR: cigar, Success: true}, st, nil
+}
+
+// penaltyError wraps BandedAlign's penalty-validation failure. It runs on
+// the reject path only.
+//
+//vet:coldpath
+func penaltyError(err error) error {
+	return fmt.Errorf("heuristic: %w", err)
 }
 
 // bandDP is the banded DP workspace: one flat row-major slab per matrix,

@@ -105,7 +105,7 @@ func badPosition(i int, b byte) error {
 // code 0.
 func PackWord(bases []byte) (uint32, error) {
 	if len(bases) > BasesPerWord {
-		return 0, fmt.Errorf("seqio: PackWord got %d bases, max %d", len(bases), BasesPerWord) //vet:allow hotalloc error construction on the reject path only
+		return 0, wordTooLong(len(bases))
 	}
 	var w uint32
 	for i, b := range bases {
@@ -116,6 +116,14 @@ func PackWord(bases []byte) (uint32, error) {
 		w |= uint32(code) << (2 * i)
 	}
 	return w, nil
+}
+
+// wordTooLong builds PackWord's error for more bases than one word holds.
+// It runs on the reject path only.
+//
+//vet:coldpath
+func wordTooLong(n int) error {
+	return fmt.Errorf("seqio: PackWord got %d bases, max %d", n, BasesPerWord)
 }
 
 // UnpackWord expands a packed word back into n base bytes (n <= 16).
@@ -148,11 +156,19 @@ func PackSequenceInto(words []uint32, s []byte) ([]uint32, error) {
 		}
 		w, err := PackWord(s[i:end])
 		if err != nil {
-			return nil, fmt.Errorf("seqio: word %d: %w", len(words), err) //vet:allow hotalloc error construction on the reject path only
+			return nil, wordError(len(words), err)
 		}
 		words = append(words, w) //vet:allow hotalloc appends into the caller's buffer, amortized across pairs
 	}
 	return words, nil
+}
+
+// wordError builds PackSequenceInto's error for the word that failed to
+// pack. It runs on the reject path only.
+//
+//vet:coldpath
+func wordError(word int, err error) error {
+	return fmt.Errorf("seqio: word %d: %w", word, err)
 }
 
 // UnpackSequence reverses PackSequence for a sequence of length n.

@@ -108,11 +108,15 @@ var witnessZero [4]byte
 // resilient driver's post-job readback audit): it returns the indices of
 // pairs whose stored witness is nonzero and does not match the recomputed
 // value. A nil return means the image is clean, so the steady-state audit
-// allocates nothing.
+// allocates nothing. Only whole pair blocks inside img are audited; a
+// negative maxReadLen, or one larger than img, leaves none.
 func AuditImage(img []byte, maxReadLen, numPairs int) []int {
+	if maxReadLen < 0 || maxReadLen > len(img) {
+		return nil
+	}
 	stride := PairSections(maxReadLen) * SectionBytes
 	var bad []int
-	for i := 0; i < numPairs && (i+1)*stride <= len(img); i++ {
+	for i := 0; i < numPairs && i < len(img)/stride; i++ {
 		block := img[i*stride : (i+1)*stride]
 		want := binary.LittleEndian.Uint32(block[WitnessOff : WitnessOff+4])
 		if want != 0 && PairWitness(block) != want {

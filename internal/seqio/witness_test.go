@@ -5,6 +5,7 @@ package seqio_test
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -110,3 +111,44 @@ func TestWitnessAuditZeroAllocs(t *testing.T) {
 }
 
 var sinkU32 uint32
+
+// FuzzAuditImage runs the readback audit on arbitrary bytes, MAX_READ_LEN
+// values and pair counts. The audit reads device memory that faults may
+// have corrupted, so it must never panic, and every index it returns must
+// name a whole pair block inside the image whose stored witness is present
+// and wrong, in ascending order.
+func FuzzAuditImage(f *testing.F) {
+	set := seqgen.New(5, 7).Set(seqgen.Profile{Name: "fuzz", Length: 40, ErrorRate: 0.1, NumPairs: 3})
+	img, err := set.BuildImage()
+	if err != nil {
+		f.Fatal(err)
+	}
+	maxReadLen := set.EffectiveMaxReadLen()
+	flipped := append([]byte(nil), img...)
+	flipped[len(flipped)-1] ^= 1
+	f.Add(img, maxReadLen, len(set.Pairs))
+	f.Add(flipped, maxReadLen, len(set.Pairs))
+	f.Add(flipped[:len(flipped)-1], maxReadLen, len(set.Pairs))
+	f.Add(img, maxReadLen, len(set.Pairs)+5)
+	f.Add(img, 0, math.MaxInt)
+	f.Add(img, -32, 1)
+	f.Add(img, math.MaxInt, 1)
+	f.Add([]byte{}, 16, 1)
+	f.Fuzz(func(t *testing.T, img []byte, maxReadLen, numPairs int) {
+		bad := seqio.AuditImage(img, maxReadLen, numPairs)
+		stride := seqio.PairSections(maxReadLen) * seqio.SectionBytes
+		for j, i := range bad {
+			if i < 0 || i >= numPairs || (j > 0 && i <= bad[j-1]) {
+				t.Fatalf("audit returned %v for %d pairs", bad, numPairs)
+			}
+			if stride <= 0 || i >= len(img)/stride {
+				t.Fatalf("pair %d flagged but its block is not inside the %d-byte image (stride %d)", i, len(img), stride)
+			}
+			block := img[i*stride : (i+1)*stride]
+			want := binary.LittleEndian.Uint32(block[seqio.WitnessOff : seqio.WitnessOff+4])
+			if want == 0 || seqio.PairWitness(block) == want {
+				t.Fatalf("pair %d flagged with a witness that is absent or matches", i)
+			}
+		}
+	})
+}

@@ -41,9 +41,10 @@ import (
 // ever holds one coalesced batch: a default 64-pair batch at the 10 kbp read
 // cap has a 1.3 MB input image, which leaves most of the 8 MiB for the result
 // stream. A batch that still does not fit is not dropped — RunResilient
-// answers its pairs with the software WFA. Between attempts the memory's
-// dirty watermark bounds the clear to the bytes the batch wrote, so the size
-// costs memory once per device, not time per batch.
+// answers its pairs with the software WFA. The size costs neither memory nor
+// time until a batch writes it: the memory backs only the prefix batches
+// have written, and between attempts its dirty watermark bounds the clear to
+// the bytes the batch wrote.
 const deviceMemBytes = 8 << 20
 
 // The zero-value defaults of Config's fleet, admission and batching knobs.

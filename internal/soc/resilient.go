@@ -383,7 +383,10 @@ func (s *SoC) runAttempt(ctx context.Context, set *seqio.InputSet, job JobConfig
 	if avail := (s.Memory.Size() - int(job.OutputAddr)) / mem.BeatBytes; count > avail {
 		count = avail
 	}
-	raw := s.Memory.Read(int64(job.OutputAddr), count*mem.BeatBytes)
+	// Read in place: the CRC gate and parseOutput finish with raw before
+	// the next attempt clears the output region, and no decoded result
+	// aliases it.
+	raw := s.Memory.View(int64(job.OutputAddr), count*mem.BeatBytes)
 
 	if v.mode != integrity.ModeOff {
 		// Hardware SDC evidence gate: an attempt with any latched witness

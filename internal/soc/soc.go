@@ -145,7 +145,9 @@ func (s *SoC) RunAccelerated(set *seqio.InputSet, opts RunOptions) (*Report, err
 		return nil, err
 	}
 	rep.OutTransactions = count
-	raw := s.Memory.Read(int64(outputAddr), count*mem.BeatBytes)
+	// Read in place: the records and the backtrace are decoded before
+	// RunAccelerated returns, and no decoded result aliases raw.
+	raw := s.Memory.View(int64(outputAddr), count*mem.BeatBytes)
 
 	if !opts.Backtrace {
 		// NBT records: the first NumPairs records are real; the final

@@ -3,6 +3,7 @@ package soc
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/align"
@@ -127,6 +128,40 @@ func TestZeroFromAfterJob(t *testing.T) {
 		}
 		if !bytes.Equal(s.Memory.View(inputBase, len(img)), img) {
 			t.Fatalf("backtrace=%v: zeroFrom touched the input image", backtrace)
+		}
+	}
+}
+
+// TestDeviceMemoryCostsWhatABatchWrites pins the lazily backed main memory
+// end to end: a SoC with serve's 8 MiB device memory plus one 64-pair 100 bp
+// resilient batch allocates a fraction of that memory, because only the
+// bytes the batch writes are ever backed. The batch writes 20 KiB
+// score-only and 77 KiB with backtrace; the backtrace bound is higher
+// because the rest of the backtrace path allocates about 1.1 MiB more than
+// score-only (0.73 MiB of it in the CPU-side decode), none of it device
+// memory.
+func TestDeviceMemoryCostsWhatABatchWrites(t *testing.T) {
+	for _, c := range []struct {
+		backtrace bool
+		limit     uint64
+	}{{false, 1 << 20}, {true, 2 << 20}} {
+		set := testSet(64, 100, 0.05)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := New(core.ChipConfig(), 8<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.RunResilient(set, ResilientOptions{Backtrace: c.backtrace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if rep.HardwarePairs != len(set.Pairs) {
+			t.Fatalf("backtrace=%v: %d of %d pairs from hardware", c.backtrace, rep.HardwarePairs, len(set.Pairs))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= c.limit {
+			t.Errorf("backtrace=%v: New plus one batch allocated %d bytes, want under %d", c.backtrace, alloc, c.limit)
 		}
 	}
 }

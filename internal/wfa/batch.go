@@ -1,7 +1,6 @@
 package wfa
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -24,7 +23,7 @@ type BatchResult struct {
 // GOMAXPROCS. The penalties are validated once before the fan-out.
 func AlignBatch(pairs []seqio.Pair, p align.Penalties, opts Options, workers int) ([]BatchResult, error) {
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("wfa: %w", err) //vet:allow hotalloc error construction on the reject path only
+		return nil, penaltyError(err)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -69,9 +69,17 @@ type Aligner struct {
 // as a panic.
 func New(p align.Penalties, opts Options) (*Aligner, error) {
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("wfa: %w", err)
+		return nil, penaltyError(err)
 	}
 	return newAligner(p, opts), nil
+}
+
+// penaltyError wraps a penalty-validation failure for New and AlignBatch.
+// It runs on the reject path only.
+//
+//vet:coldpath
+func penaltyError(err error) error {
+	return fmt.Errorf("wfa: %w", err)
 }
 
 // newAligner skips validation; callers must have validated p already.

@@ -29,10 +29,13 @@
 #  10. fuzz         FuzzCIGARWitness for 15 s: ReplayScore, the witness run on
 #                   every CIGAR the shared backtrace builds, agrees with
 #                   CIGAR.Validate + CIGAR.Score on arbitrary transcripts
-#  11. invariantdebug  the invariant and core packages under the verbose
+#  11. fuzz         FuzzAuditImage for 15 s: the readback audit of the input
+#                   image never panics on arbitrary bytes, MAX_READ_LEN
+#                   values and pair counts
+#  12. invariantdebug  the invariant and core packages under the verbose
 #                   invariant build tag
-#  12. naive ticker, chaos, SDC and soak campaigns (-count=1)
-#  13. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
+#  13. naive ticker, chaos, SDC and soak campaigns (-count=1)
+#  14. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
 #                   model), BENCH_9 (SDC-defense cost), BENCH_5 (perf
 #                   counters), BENCH_10 (event skipping and fleet)
 set -euo pipefail
@@ -89,6 +92,9 @@ go test -run '^$' -fuzz '^FuzzAlignersAgree$' -fuzztime 30s ./internal/soc/
 
 echo "== CIGAR replay witness (fuzz, 15 s) =="
 go test -run '^$' -fuzz '^FuzzCIGARWitness$' -fuzztime 15s ./internal/integrity/
+
+echo "== input image audit (fuzz, 15 s) =="
+go test -run '^$' -fuzz '^FuzzAuditImage$' -fuzztime 15s ./internal/seqio/
 
 echo "== go test (invariantdebug build) =="
 go test -tags invariantdebug ./internal/invariant/ ./internal/core/
