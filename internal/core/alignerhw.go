@@ -111,7 +111,9 @@ type AlignerHW struct {
 
 	Stats AlignerStats
 
-	// Scratch buffers reused across steps.
+	// Scratch buffers reused across steps: the origin row wfa.Step writes
+	// (one cell per M~ diagonal, at most 2*KMax+1) and one block's origins.
+	row        []uint8
 	originsBuf []uint8
 
 	// Retained Input_Seq RAM images the Extractor loads each pair into
@@ -126,6 +128,7 @@ func NewAlignerHW(cfg Config, idx int) *AlignerHW {
 		bank:       Banking{P: cfg.ParallelSections, KMax: cfg.KMax},
 		idx:        idx,
 		scoreMax:   cfg.ScoreMax(),
+		row:        make([]uint8, 2*cfg.KMax+1),
 		originsBuf: make([]uint8, cfg.ParallelSections),
 	}
 	a.ring = wfa.NewRing(cfg.Penalties, &a.pool)
@@ -195,9 +198,8 @@ func (a *AlignerHW) Start(id uint32, seqA, seqB *SeqRAM, unsupported, btEnabled 
 
 	// Score 0: the initial cell M~(0,0) = 0, extended.
 	m0 := a.pool.Acquire(0, 0)
-	m0.Set(0, 0, wfa.MTagNone)
 	ext := ExtendDiag(seqA, seqB, 0, 0)
-	m0.Set(0, int32(ext.Matches), wfa.MTagNone)
+	m0.Set(0, int32(ext.Matches))
 	a.Stats.CellsExtended++
 	a.Stats.ExtendBlocks += int64(ext.Blocks)
 	a.Stats.ExtendCycles += int64(a.cfg.Timing.ExtendFill + ext.Blocks)
@@ -322,7 +324,7 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 
 	// Compute I~(s), D~(s) and M~(s) — the frame column.
 	iwf, dwf, mwf := wfa.Step(&a.pool, n, m, iR, dR, mR,
 		a.ring.Get(wfa.CompM, s-x), a.ring.Get(wfa.CompM, s-oe),
-		a.ring.Get(wfa.CompI, s-e), a.ring.Get(wfa.CompD, s-e))
+		a.ring.Get(wfa.CompI, s-e), a.ring.Get(wfa.CompD, s-e), a.row)
 	a.Stats.CellsComputed += int64(mR.Len())
 
 	// Extend phase + grid-aligned batch accounting (Figure 6 banking).
@@ -345,14 +347,14 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 
 					i := int(v) - k
 					j := int(v)
 					ext := ExtendDiag(a.seqA, a.seqB, i, j)
-					mwf.Set(k, v+int32(ext.Matches), mwf.TagAt(k))
+					mwf.Set(k, v+int32(ext.Matches))
 					a.Stats.CellsExtended++
 					a.Stats.ExtendBlocks += int64(ext.Blocks)
 					if ext.Blocks > maxBlocks {
 						maxBlocks = ext.Blocks
 					}
 				}
-				org = wfa.PackOrigin(mwf.TagAt(k), iwf.TagAt(k), dwf.TagAt(k))
+				org = a.row[k-mR.Lo] & wfa.OriginMask
 			}
 			origins = append(origins, org)
 		}
@@ -391,7 +393,7 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 
 		if v := mwf.At(k); wfa.ValidOffset(v) {
 			nv := v ^ int32(1<<bit)
 			if nv >= 0 && nv <= int32(m) && nv-int32(k) >= 0 && nv-int32(k) <= int32(n) {
-				mwf.Set(k, nv, mwf.TagAt(k))
+				mwf.Set(k, nv)
 				// Parity witness: the flipped line fails its parity check
 				// the next time it is read. Latched as a monotone trip so
 				// the job-level RegSDCWavefront register reports it.

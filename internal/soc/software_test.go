@@ -2,6 +2,9 @@ package soc
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -18,30 +21,8 @@ import (
 // cap, N bases, pairs beyond k_max — and requires its Result and WFAStats to
 // equal a fresh one-shot SoftwareAlign on every pair.
 func TestSoftwareAlignerMatchesOneShot(t *testing.T) {
-	cfg := core.ChipConfig()
-	cfg.MaxReadLenCap = 256
-	cfg.KMax = 16
-	g := seqgen.New(3, 14)
-	rnd := func(n int) []byte { return g.RandomSequence(n) }
-	capRead := rnd(cfg.MaxReadLenCap)
-	pairs := []seqio.Pair{
-		{A: nil, B: nil},
-		{A: nil, B: []byte("ACGT")},
-		{A: []byte("A"), B: []byte("A")},
-		{A: []byte("A"), B: []byte("C")},
-		{A: []byte("G"), B: nil},
-		{A: capRead, B: capRead},
-		g.Pair(0, cfg.MaxReadLenCap, 0.03),
-		{A: rnd(cfg.MaxReadLenCap + 1), B: rnd(cfg.MaxReadLenCap)},
-		{A: rnd(cfg.MaxReadLenCap), B: rnd(cfg.MaxReadLenCap + 1)},
-		{A: []byte("ACGNT"), B: []byte("ACGAT")},
-		{A: []byte("ACGT"), B: []byte("NNNN")},
-		{A: rnd(40), B: rnd(40 + cfg.KMax + 1)}, // final diagonal outside k_max
-		{A: rnd(120), B: rnd(120)},              // score past Equation 6's bound
-		g.Pair(0, 200, 0.10),
-		g.Pair(0, 100, 0.05),
-		{A: []byte("acgtacgt"), B: []byte("ACGTTCGT")},
-	}
+	cfg := edgeCaseConfig()
+	pairs := edgeCasePairs(cfg)
 	sa := NewSoftwareAligner(cfg)
 	for round := 0; round < 2; round++ {
 		for i, p := range pairs {
@@ -63,6 +44,79 @@ func TestSoftwareAlignerMatchesOneShot(t *testing.T) {
 		if res, _ := sa.Align(pairs[c.i], false); res.Success != c.want {
 			t.Errorf("pair %d: Success = %v, want %v", c.i, res.Success, c.want)
 		}
+	}
+}
+
+// edgeCaseConfig is the chip configuration shrunk so that the edge cases can
+// reach the read-length cap and k_max cheaply.
+func edgeCaseConfig() core.Config {
+	cfg := core.ChipConfig()
+	cfg.MaxReadLenCap = 256
+	cfg.KMax = 16
+	return cfg
+}
+
+// edgeCasePairs are the edge cases of the software semantics under cfg:
+// empty and one-base reads, reads at and one past the hardware cap, N bases,
+// pairs beyond k_max and past Equation 6's bound.
+func edgeCasePairs(cfg core.Config) []seqio.Pair {
+	g := seqgen.New(3, 14)
+	rnd := func(n int) []byte { return g.RandomSequence(n) }
+	capRead := rnd(cfg.MaxReadLenCap)
+	return []seqio.Pair{
+		{A: nil, B: nil},
+		{A: nil, B: []byte("ACGT")},
+		{A: []byte("A"), B: []byte("A")},
+		{A: []byte("A"), B: []byte("C")},
+		{A: []byte("G"), B: nil},
+		{A: capRead, B: capRead},
+		g.Pair(0, cfg.MaxReadLenCap, 0.03),
+		{A: rnd(cfg.MaxReadLenCap + 1), B: rnd(cfg.MaxReadLenCap)},
+		{A: rnd(cfg.MaxReadLenCap), B: rnd(cfg.MaxReadLenCap + 1)},
+		{A: []byte("ACGNT"), B: []byte("ACGAT")},
+		{A: []byte("ACGT"), B: []byte("NNNN")},
+		{A: rnd(40), B: rnd(40 + cfg.KMax + 1)}, // final diagonal outside k_max
+		{A: rnd(120), B: rnd(120)},              // score past Equation 6's bound
+		g.Pair(0, 200, 0.10),
+		g.Pair(0, 100, 0.05),
+		{A: []byte("acgtacgt"), B: []byte("ACGTTCGT")},
+	}
+}
+
+// softwareCIGARDigest is the SHA-256 of "score success CIGAR" lines over
+// TestSoftwareCIGARDigest's 360 pairs. It pins the software tier's CIGARs
+// byte for byte: a change to the step kernel or the backtrace that moves any
+// of them must fail here.
+const softwareCIGARDigest = "bbe6eb034df21cd5c86c58130d3335cfa43913583eab3ede85708e15e32fd00d"
+
+// TestSoftwareCIGARDigest hashes SoftwareAligner CIGAR-mode results over the
+// six seqgen paper sets (40/40/10/10/2/2 pairs, chip configuration) and the
+// 16 edge cases (edgeCaseConfig), under three penalty sets: the paper's
+// (4,6,2), a cheap (2,3,1) and a zero gap-open (6,0,3). 120 pairs per set,
+// one reused aligner per penalty set and configuration.
+func TestSoftwareCIGARDigest(t *testing.T) {
+	h := sha256.New()
+	for _, p := range []align.Penalties{{Mismatch: 4, GapOpen: 6, GapExtend: 2}, {Mismatch: 2, GapOpen: 3, GapExtend: 1}, {Mismatch: 6, GapOpen: 0, GapExtend: 3}} {
+		chip := core.ChipConfig()
+		chip.Penalties = p
+		sa := NewSoftwareAligner(chip)
+		for i, prof := range seqgen.PaperSets(0) {
+			prof.NumPairs = []int{40, 40, 10, 10, 2, 2}[i]
+			for _, pair := range seqgen.SetFor(prof).Pairs {
+				res, _ := sa.Align(pair, true)
+				fmt.Fprintf(h, "%d %v %s\n", res.Score, res.Success, res.CIGAR)
+			}
+		}
+		edge := edgeCaseConfig()
+		edge.Penalties = p
+		sa = NewSoftwareAligner(edge)
+		for _, pair := range edgeCasePairs(edge) {
+			res, _ := sa.Align(pair, true)
+			fmt.Fprintf(h, "%d %v %s\n", res.Score, res.Success, res.CIGAR)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != softwareCIGARDigest {
+		t.Errorf("software CIGAR digest = %s, want %s", got, softwareCIGARDigest)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wfa
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/align"
@@ -18,6 +19,21 @@ func allocProfile1K(t *testing.T, n int) []seqio.Pair {
 		pairs[i] = g.Pair(uint32(i+1), 1000, 0.05)
 	}
 	return pairs
+}
+
+// Mallocs returns the exact number of heap allocations sweeps calls of f
+// make. testing.AllocsPerRun would return the truncated average, under which
+// fewer allocations than sweeps read as zero. It is exported for the
+// external wfa_test package.
+func Mallocs(sweeps int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range sweeps {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestAlignerRunScoreOnlyZeroAlloc pins the steady-state allocation budget of
@@ -43,14 +59,13 @@ func TestAlignerRunScoreOnlyZeroAlloc(t *testing.T) {
 	// first sweep, so this converges in a handful of rounds).
 	warmed := false
 	for i := 0; i < 16 && !warmed; i++ {
-		warmed = testing.AllocsPerRun(1, sweep) == 0
+		warmed = Mallocs(1, sweep) == 0
 	}
 	if !warmed {
 		t.Fatal("pool never quiesced: warm-up sweeps kept allocating")
 	}
-	allocs := testing.AllocsPerRun(4, sweep)
-	if allocs != 0 {
-		t.Errorf("score-only Run allocated %v objects per %d-pair sweep, want 0", allocs, len(pairs))
+	if allocs := Mallocs(4, sweep); allocs != 0 {
+		t.Errorf("score-only Run allocated %d objects over 4 %d-pair sweeps, want 0", allocs, len(pairs))
 	}
 }
 
@@ -76,17 +91,46 @@ func TestAlignerRunCIGARAmortizedAllocs(t *testing.T) {
 		}
 	}
 	// Warm-up until only the per-pair result buffers remain.
-	budget := float64(len(pairs)) // one CIGAR buffer per pair
+	budget := uint64(len(pairs)) // one CIGAR buffer per pair, nothing else
 	warmed := false
 	for i := 0; i < 16 && !warmed; i++ {
-		warmed = testing.AllocsPerRun(1, sweep) <= budget
+		warmed = Mallocs(1, sweep) <= budget
 	}
 	if !warmed {
 		t.Fatal("pool never quiesced: warm-up sweeps kept allocating beyond the result buffers")
 	}
-	perPair := testing.AllocsPerRun(4, sweep) / float64(len(pairs))
-	const maxPerPair = 1.0 // the CIGAR result buffer, nothing else
-	if perPair > maxPerPair {
-		t.Errorf("CIGAR Run allocated %.2f objects/pair amortized, want <= %v", perPair, maxPerPair)
+	if allocs := Mallocs(4, sweep); allocs > 4*budget {
+		t.Errorf("CIGAR Run allocated %d objects over 4 %d-pair sweeps, want <= %d", allocs, len(pairs), 4*budget)
+	}
+}
+
+// TestCIGARModeLiveHeap bounds what a CIGAR-mode Aligner keeps alive: the
+// wavefront window plus one origin byte per M~ diagonal per score, not every
+// wavefront of every score. A cold Aligner runs one seeded pair of unrelated
+// 1 kbp reads (score ~2300, ~1.3M M~ cells) and is kept alive; the live heap
+// it adds must stay under 4 MiB, where retaining every wavefront took
+// about 20 MiB. It measures the whole process heap, so it must not run in
+// parallel with other tests.
+func TestCIGARModeLiveHeap(t *testing.T) {
+	g := seqgen.New(11, 12)
+	a, b := g.RandomSequence(1000), g.RandomSequence(1000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	al, err := New(align.DefaultPenalties, Options{WithCIGAR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := al.Run(a, b)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(al)
+	if !res.Success || al.Stats.SumWavefront < 1_000_000 {
+		t.Fatalf("pair too easy to bound anything: %+v, %d M~ cells", res.Success, al.Stats.SumWavefront)
+	}
+	const limit = 4 << 20
+	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live > limit {
+		t.Errorf("CIGAR-mode Aligner holds %.1f MiB after one %d-cell run, want <= %d MiB",
+			float64(live)/(1<<20), al.Stats.SumWavefront, limit>>20)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // The backtrace of Section 4.5 in two halves, shared by both tiers: a
 // backward walk that decodes one origin tag per step with BackStep, and
 // ForwardPass, which replays the collected differences over the two reads
-// and re-inserts the matches. The software Aligner reads its tags from the
-// retained wavefronts (backtrace below); the CPU decoder of the accelerator's
-// stream (internal/bt) reads them from the packed origin blocks.
+// and re-inserts the matches. The software Aligner reads its tags from its
+// origin log (backtrace below); the CPU decoder of the accelerator's stream
+// (internal/bt) reads them from the packed origin blocks.
 
 // BackOp is one difference the backward walk collects.
 type BackOp struct {
@@ -126,9 +126,9 @@ func forwardError(what string, i, j, n, m int) error {
 	return fmt.Errorf("wfa: backtrace %s at (%d,%d) of (%d,%d)", what, i, j, n, m)
 }
 
-// backtrace reconstructs the optimal CIGAR from the retained wavefronts
-// (Section 2.3's backtrace() operator): it walks the origin tags from the
-// final cell back to M~(0,0), then ForwardPass re-inserts the matches.
+// backtrace reconstructs the optimal CIGAR from the origin log (Section
+// 2.3's backtrace() operator): it walks the origin tags from the final cell
+// back to M~(0,0), then ForwardPass re-inserts the matches.
 func (al *Aligner) backtrace(finalScore int) align.CIGAR {
 	// The reversed-op scratch is owned by the Aligner and truncate-reset per
 	// pair, so the walk allocates only while the deepest alignment seen so
@@ -136,13 +136,10 @@ func (al *Aligner) backtrace(finalScore int) align.CIGAR {
 	rev := al.btScratch[:0]
 	s, k, comp := finalScore, al.m-al.n, CompM
 	for s > 0 {
-		wf := al.store.Get(comp, s)
-		if !wf.Valid(k) {
-			invariant.Failf("wfa", "backtrace lost %v~ cell (s=%d,k=%d)", comp, s, k)
-		}
-		op, ds, dk, next, ok := BackStep(comp, wf.TagAt(k), al.pen)
+		tag := OriginTag(al.origin(comp, s, k), comp)
+		op, ds, dk, next, ok := BackStep(comp, tag, al.pen)
 		if !ok {
-			invariant.Failf("wfa", "bad %v~ tag %d at (s=%d,k=%d)", comp, wf.TagAt(k), s, k)
+			invariant.Failf("wfa", "bad %v~ tag %d at (s=%d,k=%d)", comp, tag, s, k)
 		}
 		rev = append(rev, op)
 		s, k, comp = s-ds, k+dk, next
@@ -156,4 +153,18 @@ func (al *Aligner) backtrace(finalScore int) align.CIGAR {
 		invariant.Failf("wfa", "%v", err)
 	}
 	return cigar
+}
+
+// origin returns the logged origin of cell (s, k), which must be a valid
+// cell of component comp: row s of the log covers score s's M~ range, and
+// its validity flags say which components Step found valid there.
+func (al *Aligner) origin(comp Component, s, k int) uint8 {
+	var o uint8
+	if mR := al.tracker.MRange(s); s < len(al.rowBase) && k >= mR.Lo && k <= mR.Hi {
+		o = al.origins[al.rowBase[s]+k-mR.Lo]
+	}
+	if o&validBit(comp) == 0 {
+		invariant.Failf("wfa", "backtrace lost %v~ cell (s=%d,k=%d)", comp, s, k)
+	}
+	return o
 }

@@ -58,15 +58,18 @@ func TestBackStepTransitions(t *testing.T) {
 }
 
 // TestOriginTagSelectsComponent checks that OriginTag reads back each
-// component's field of a PackOrigin record.
+// component's field of a PackOrigin record, with or without Step's validity
+// flags above it.
 func TestOriginTagSelectsComponent(t *testing.T) {
-	for m := uint8(0); m < 8; m++ {
-		for i := uint8(0); i < 2; i++ {
-			for d := uint8(0); d < 2; d++ {
-				o := PackOrigin(m, i, d)
-				if OriginTag(o, CompM) != m || OriginTag(o, CompI) != i || OriginTag(o, CompD) != d {
-					t.Fatalf("origin %05b: tags (%d, %d, %d), want (%d, %d, %d)", o,
-						OriginTag(o, CompM), OriginTag(o, CompI), OriginTag(o, CompD), m, i, d)
+	for _, flags := range []uint8{0, ^OriginMask} {
+		for m := uint8(0); m < 8; m++ {
+			for i := uint8(0); i < 2; i++ {
+				for d := uint8(0); d < 2; d++ {
+					o := PackOrigin(m, i, d) | flags
+					if OriginTag(o, CompM) != m || OriginTag(o, CompI) != i || OriginTag(o, CompD) != d {
+						t.Fatalf("origin %08b: tags (%d, %d, %d), want (%d, %d, %d)", o,
+							OriginTag(o, CompM), OriginTag(o, CompI), OriginTag(o, CompD), m, i, d)
+					}
 				}
 			}
 		}

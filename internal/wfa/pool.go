@@ -3,15 +3,15 @@ package wfa
 // Wavefront pooling for the steady-state alignment path. Before this existed
 // every computed wavefront (three per score step) was a fresh heap object,
 // which dominated the allocation profile of Aligner.Run and AlignBatch; the
-// hotalloc analyzer now gates the hot path, so the stores recycle dead
-// wavefronts into a per-Aligner free list instead. No global state and no
+// hotalloc analyzer now gates the hot path, so the window (Ring) recycles
+// dead wavefronts into a per-Aligner free list instead. No global state and no
 // sync.Pool: an Aligner is documented as not safe for concurrent use, and a
 // plain slice keeps the recycling deterministic (the isolation analyzer
 // forbids package-level mutable state on this path anyway).
 //
 // Bit-identity: a recycled wavefront is indistinguishable from a freshly
-// allocated one — Off refilled with Invalid, Tag refilled with zero — so
-// golden and chaos suites see identical results cycle for cycle.
+// allocated one — Off refilled with Invalid — so golden and chaos suites see
+// identical results cycle for cycle.
 
 // Pool is a LIFO free list of wavefronts whose backing arrays can be
 // reused.
@@ -42,7 +42,6 @@ func (p *Pool) Acquire(lo, hi int) *Wavefront {
 			Lo:  lo,
 			Hi:  hi,
 			Off: make([]int32, n, p.maxN), //vet:allow hotalloc pool growth, amortized across pairs
-			Tag: make([]uint8, n, p.maxN), //vet:allow hotalloc pool growth, amortized across pairs
 		}
 		for i := range w.Off {
 			w.Off[i] = Invalid
@@ -57,14 +56,11 @@ func (p *Pool) Acquire(lo, hi int) *Wavefront {
 		// Pool miss on width: grow once to the high-water width, then reuse
 		// forever.
 		w.Off = make([]int32, n, p.maxN) //vet:allow hotalloc pool growth, amortized across pairs
-		w.Tag = make([]uint8, n, p.maxN) //vet:allow hotalloc pool growth, amortized across pairs
 	} else {
 		w.Off = w.Off[:n]
-		w.Tag = w.Tag[:n]
 	}
 	for i := range w.Off {
 		w.Off[i] = Invalid
-		w.Tag[i] = 0
 	}
 	return w
 }

@@ -7,9 +7,10 @@ import (
 	"repro/internal/seqgen"
 	"repro/internal/seqio"
 	"repro/internal/soc"
+	"repro/internal/wfa"
 )
 
-// TestSoftwareAlignerAllocs pins the per-pair allocation budget of
+// TestSoftwareAlignerAllocs pins, by an exact malloc count, the per-pair allocation budget of
 // soc.SoftwareAligner, the reused front end of the Aligner pinned in
 // alloc_test.go (it lives in this external test package because soc imports
 // wfa). After warm-up a score-only pair allocates nothing and a CIGAR pair
@@ -34,18 +35,18 @@ func TestSoftwareAlignerAllocs(t *testing.T) {
 		}
 	}
 	score, cigar := sweep(false), sweep(true)
-	budget := float64(len(pairs)) // one CIGAR buffer per CIGAR pair
+	budget := uint64(len(pairs)) // one CIGAR buffer per CIGAR pair
 	warmed := false
 	for i := 0; i < 16 && !warmed; i++ {
-		warmed = testing.AllocsPerRun(1, score) == 0 && testing.AllocsPerRun(1, cigar) <= budget
+		warmed = wfa.Mallocs(1, score) == 0 && wfa.Mallocs(1, cigar) <= budget
 	}
 	if !warmed {
 		t.Fatal("SoftwareAligner never quiesced: warm-up sweeps kept allocating")
 	}
-	if allocs := testing.AllocsPerRun(4, score); allocs != 0 {
-		t.Errorf("score-only SoftwareAligner.Align allocated %v objects per %d-pair sweep, want 0", allocs, len(pairs))
+	if allocs := wfa.Mallocs(4, score); allocs != 0 {
+		t.Errorf("score-only SoftwareAligner.Align allocated %d objects over 4 %d-pair sweeps, want 0", allocs, len(pairs))
 	}
-	if perPair := testing.AllocsPerRun(4, cigar) / float64(len(pairs)); perPair > 1 {
-		t.Errorf("CIGAR SoftwareAligner.Align allocated %.2f objects/pair amortized, want <= 1", perPair)
+	if allocs := wfa.Mallocs(4, cigar); allocs > 4*budget {
+		t.Errorf("CIGAR SoftwareAligner.Align allocated %d objects over 4 %d-pair sweeps, want <= %d", allocs, len(pairs), 4*budget)
 	}
 }

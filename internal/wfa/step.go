@@ -8,11 +8,20 @@ import "repro/internal/align"
 // M~(s-x), M~(s-o-e), I~(s-e) and D~(s-e), acquiring the results from pool
 // and trimming every cell that steps outside the DP grid of a pair with
 // |a| = n, |b| = m. Both the software Aligner and the simulated hardware
-// Aligner call it, so their cells, origin tags and backtrace streams agree by
+// Aligner call it, so their cells, origins and backtrace streams agree by
 // construction. Ties break in one fixed order: gap-open beats gap-extend,
 // then substitution beats insertion beats deletion. A wavefront whose range
 // is empty comes back nil, without touching the pool.
-func Step(pool *Pool, n, m int, iR, dR, mR Range, mx, moe, ie, de *Wavefront) (iwf, dwf, mwf *Wavefront) {
+//
+// Step writes the origins of score s into row, which the caller owns: the
+// cell of diagonal k at row[k-mR.Lo], which needs mR ⊇ iR ∪ dR, as the
+// RangeTracker guarantees. Bits [4:0] hold PackOrigin's layout for the
+// components that are valid at k, and validBit flags which those are; row
+// needs mR.Len() bytes and Step clears them first.
+func Step(pool *Pool, n, m int, iR, dR, mR Range, mx, moe, ie, de *Wavefront, row []uint8) (iwf, dwf, mwf *Wavefront) {
+	row = row[:mR.Len()]
+	clear(row)
+
 	// I~(s): sources shift k by +1.
 	if !iR.Empty() {
 		iwf = pool.Acquire(iR.Lo, iR.Hi)
@@ -25,7 +34,8 @@ func Step(pool *Pool, n, m int, iR, dR, mR Range, mx, moe, ie, de *Wavefront) (i
 				v = trim(v+1, k, n, m)
 			}
 			if ValidOffset(v) {
-				iwf.Set(k, v, tag)
+				iwf.Set(k, v)
+				row[k-mR.Lo] |= validBit(CompI) | PackOrigin(0, tag, 0)
 			}
 		}
 	}
@@ -40,7 +50,8 @@ func Step(pool *Pool, n, m int, iR, dR, mR Range, mx, moe, ie, de *Wavefront) (i
 			}
 			v = trim(v, k, n, m)
 			if ValidOffset(v) {
-				dwf.Set(k, v, tag)
+				dwf.Set(k, v)
+				row[k-mR.Lo] |= validBit(CompD) | PackOrigin(0, 0, tag)
 			}
 		}
 	}
@@ -55,22 +66,24 @@ func Step(pool *Pool, n, m int, iR, dR, mR Range, mx, moe, ie, de *Wavefront) (i
 		if v := mx.At(k); ValidOffset(v) {
 			sub = v + 1
 		}
+		o := row[k-mR.Lo]
 		v, tag := sub, MTagSub
 		if ins := iwf.At(k); ins > v {
 			v, tag = ins, MTagIOpen
-			if iwf.TagAt(k) == GTagExt {
+			if OriginTag(o, CompI) == GTagExt {
 				tag = MTagIExt
 			}
 		}
 		if del := dwf.At(k); del > v {
 			v, tag = del, MTagDOpen
-			if dwf.TagAt(k) == GTagExt {
+			if OriginTag(o, CompD) == GTagExt {
 				tag = MTagDExt
 			}
 		}
 		v = trim(v, k, n, m)
 		if ValidOffset(v) {
-			mwf.Set(k, v, tag)
+			mwf.Set(k, v)
+			row[k-mR.Lo] = o | validBit(CompM) | PackOrigin(tag, 0, 0)
 		}
 	}
 	return iwf, dwf, mwf

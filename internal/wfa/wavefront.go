@@ -9,7 +9,9 @@
 //     then insertion, then deletion; gap-open beats gap-extend) so the
 //     software CIGAR matches the accelerator's backtrace bit-for-bit;
 //   - each computed cell records a 5-bit origin exactly as the Compute
-//     sub-module emits it (3 bits for M~, 1 for I~, 1 for D~, Section 4.3.3);
+//     sub-module emits it (3 bits for M~, 1 for I~, 1 for D~, Section 4.3.3)
+//     into a per-score origin row outside the wavefronts; the backtrace
+//     reads origins only, as the CPU reads the accelerator's stream;
 //   - out-of-matrix cells (offset beyond |b|, or i beyond |a|) are trimmed to
 //     the invalid sentinel immediately after compute, as the hardware's
 //     column initialization/validity tracking does.
@@ -69,8 +71,20 @@ func PackOrigin(mTag, iTag, dTag uint8) uint8 {
 	return mTag<<2 | (iTag&1)<<1 | dTag&1
 }
 
+// OriginMask selects the streamed 5 bits of a Step origin row cell. Step
+// uses the three spare high bits to mark which components of the cell hold
+// a valid offset (validBit); the hardware streams only the origin.
+const OriginMask uint8 = 0x1F
+
+// validBit is the row flag of a valid component c cell: bit 5 for M~, 6 for
+// I~, 7 for D~.
+func validBit(c Component) uint8 {
+	return 1 << (5 + c)
+}
+
 // OriginTag extracts component c's tag from a packed origin, the tag
-// BackStep decodes for a cell of c.
+// BackStep decodes for a cell of c. Any validity flags above the 5 origin
+// bits are ignored.
 func OriginTag(o uint8, c Component) uint8 {
 	switch c {
 	case CompI:
@@ -78,15 +92,15 @@ func OriginTag(o uint8, c Component) uint8 {
 	case CompD:
 		return o & 1
 	}
-	return o >> 2
+	return o >> 2 & 7
 }
 
 // Wavefront is one vector of Equation 3 for a single score and component:
-// offsets for the diagonals Lo..Hi inclusive, plus per-cell origin tags.
+// offsets for the diagonals Lo..Hi inclusive. Origins live outside it, in
+// the row Step writes.
 type Wavefront struct {
 	Lo, Hi int     // valid diagonal range, inclusive; Lo > Hi means empty
 	Off    []int32 // offset of diagonal k at index k-Lo
-	Tag    []uint8 // origin tag of diagonal k at index k-Lo
 }
 
 // Len returns the number of diagonals the wavefront spans (0 when empty).
@@ -106,18 +120,9 @@ func (w *Wavefront) At(k int) int32 {
 	return w.Off[k-w.Lo]
 }
 
-// TagAt returns the origin tag at diagonal k (zero out of range).
-func (w *Wavefront) TagAt(k int) uint8 {
-	if w == nil || k < w.Lo || k > w.Hi {
-		return 0
-	}
-	return w.Tag[k-w.Lo]
-}
-
-// Set stores offset and tag at diagonal k; k must be within [Lo, Hi].
-func (w *Wavefront) Set(k int, off int32, tag uint8) {
+// Set stores the offset at diagonal k; k must be within [Lo, Hi].
+func (w *Wavefront) Set(k int, off int32) {
 	w.Off[k-w.Lo] = off
-	w.Tag[k-w.Lo] = tag
 }
 
 // Valid reports whether diagonal k holds a real (non-sentinel) offset.

@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/align"
-	"repro/internal/invariant"
 )
 
 // Options configures one WFA run.
 type Options struct {
-	// WithCIGAR retains all wavefronts and performs the backtrace. When
-	// false only a sliding window of wavefronts is kept (O(n+s) memory)
-	// and Result.CIGAR is nil. This mirrors the accelerator's
-	// backtrace-enabled/disabled modes.
+	// WithCIGAR logs every score's origin row, one byte per M~ diagonal,
+	// and performs the backtrace from the log. Either mode keeps only a
+	// sliding window of wavefronts; without WithCIGAR only the current
+	// origin row is kept (O(n+s) memory) and Result.CIGAR is nil. This
+	// mirrors the accelerator's backtrace-enabled/disabled modes.
 	WithCIGAR bool
 	// MaxScore aborts the alignment once the score would exceed this bound,
 	// returning Success=false — the accelerator's Equation 6 behaviour.
@@ -37,27 +37,33 @@ type Stats struct {
 	Blocks16       int64 // 16-base comparator blocks (vector/hardware extend unit)
 	MaxWavefront   int   // widest M~ wavefront seen
 	SumWavefront   int64 // sum of M~ wavefront widths over all steps
-	WavefrontBytes int64 // bytes of wavefront storage touched (memory-footprint model)
+	WavefrontBytes int64 // modelled RISC-V wavefront footprint (see observe), not this Go code's
 }
 
 // Aligner runs the WFA. It is reusable across calls; it is not safe for
-// concurrent use. Reuse is the point: the stores, the wavefront free list
-// and the backtrace scratch all persist across Run calls, so the steady
-// state of AlignBatch (one Aligner per worker, thousands of pairs each)
-// allocates only when a pair needs more capacity than any pair before it.
+// concurrent use. Reuse is the point: the window, the wavefront free list,
+// the origin log and the backtrace scratch all persist across Run calls, so
+// the steady state of AlignBatch (one Aligner per worker, thousands of pairs
+// each) allocates only when a pair needs more capacity than any pair before
+// it.
 type Aligner struct {
-	pen   align.Penalties
-	opts  Options
-	store wfStore
+	pen  align.Penalties
+	opts Options
 
-	// Reused machinery (pool.go): stores and the range tracker are rebuilt
-	// in place per Run, dead wavefronts recycle through pool, backtrace ops
-	// accumulate in btScratch.
-	full      *fullStore
+	// Reused machinery (pool.go): the window and the range tracker are
+	// rebuilt in place per Run, dead wavefronts recycle through pool,
+	// backtrace ops accumulate in btScratch.
 	ring      *Ring
 	tracker   RangeTracker
 	pool      Pool
 	btScratch []BackOp
+
+	// origins is the origin log: score s's row, one cell per diagonal of
+	// its M~ range (tracker.MRange(s)), starts at origins[rowBase[s]]. In
+	// score-only mode it holds only the current row and rowBase stays
+	// empty. Both are truncate-reset per pair.
+	origins []uint8
+	rowBase []int
 
 	a, b  []byte
 	n, m  int
@@ -124,28 +130,21 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 		maxScore = min(maxScore, ScoreMax(al.opts.MaxK, al.pen))
 	}
 	al.tracker.Reset(al.pen, al.n, al.m, al.opts.MaxK)
-
-	if al.opts.WithCIGAR {
-		if al.full == nil {
-			al.full = newFullStore(maxScore, &al.pool)
-		} else {
-			al.full.reset(maxScore)
-		}
-		al.store = al.full
+	if al.ring == nil {
+		al.ring = NewRing(al.pen, &al.pool)
 	} else {
-		if al.ring == nil {
-			al.ring = NewRing(al.pen, &al.pool)
-		} else {
-			al.ring.Reset()
-		}
-		al.store = al.ring
+		al.ring.Reset()
 	}
+	al.origins = al.origins[:0]
+	al.rowBase = al.rowBase[:0]
 
-	// Initial condition M~(0,0) = 0, then extend (Section 2.3).
+	// Initial condition M~(0,0) = 0, then extend (Section 2.3). Its origin
+	// is MTagNone: the walk ends there.
 	m0 := al.pool.Acquire(0, 0)
-	m0.Set(0, 0, MTagNone)
+	m0.Set(0, 0)
+	al.originRow(1)[0] = validBit(CompM)
 	al.extend(m0)
-	al.store.Put(0, nil, nil, m0)
+	al.ring.Put(0, nil, nil, m0)
 	al.observe(m0)
 	if Done(m0, al.n, al.m) {
 		res := align.Result{Score: 0, Success: true}
@@ -161,7 +160,7 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 		al.Stats.ScoreSteps++
 		iwf, dwf, mwf := al.computeScore(s)
 		if mwf == nil {
-			al.store.Put(s, iwf, dwf, nil)
+			al.ring.Put(s, iwf, dwf, nil)
 			emptyRun++
 			if emptyRun > depth(al.pen) {
 				// Nothing in the dependency window: no wavefront can ever
@@ -174,7 +173,7 @@ func (al *Aligner) Run(a, b []byte) align.Result {
 		emptyRun = 0
 		al.Stats.NonEmptySteps++
 		al.extend(mwf)
-		al.store.Put(s, iwf, dwf, mwf)
+		al.ring.Put(s, iwf, dwf, mwf)
 		al.observe(mwf)
 		if Done(mwf, al.n, al.m) {
 			al.Stats.Score = s
@@ -195,19 +194,39 @@ func (al *Aligner) observe(mwf *Wavefront) {
 		al.Stats.MaxWavefront = w
 	}
 	al.Stats.SumWavefront += int64(w)
-	al.Stats.WavefrontBytes += int64(w) * 15 // 3 components x (4B offset + 1B tag)
+	// The modelled footprint of a RISC-V CPU running the WFA, which cpumodel
+	// prices: 3 components x (4B offset + 1B tag) per M~ diagonal. It stays
+	// independent of how this Go code stores wavefronts and origins.
+	al.Stats.WavefrontBytes += int64(w) * 15
 }
 
 // computeScore computes I~(s), D~(s) and M~(s) over the tracker's ranges
-// from the dependency wavefronts (Equation 3 / Figure 2). M~(s) is nil when
-// its range is empty.
+// from the dependency wavefronts (Equation 3 / Figure 2), writing the
+// origins into score s's row. M~(s) is nil when its range is empty.
 func (al *Aligner) computeScore(s int) (iwf, dwf, mwf *Wavefront) {
 	x, oe, e := al.pen.Mismatch, al.pen.GapOpen+al.pen.GapExtend, al.pen.GapExtend
 	iR, dR, mR := al.tracker.Extend(s)
 	al.Stats.CellsComputed += int64(mR.Len())
 	return Step(&al.pool, al.n, al.m, iR, dR, mR,
-		al.store.Get(CompM, s-x), al.store.Get(CompM, s-oe),
-		al.store.Get(CompI, s-e), al.store.Get(CompD, s-e))
+		al.ring.Get(CompM, s-x), al.ring.Get(CompM, s-oe),
+		al.ring.Get(CompI, s-e), al.ring.Get(CompD, s-e), al.originRow(mR.Len()))
+}
+
+// originRow returns the next score's origin row, w cells: appended to the
+// log in CIGAR mode, replacing the previous row in score-only mode. The log
+// grows by append and is truncate-reset per pair, so its capacity amortizes
+// across pairs.
+func (al *Aligner) originRow(w int) []uint8 {
+	start := 0
+	if al.opts.WithCIGAR {
+		start = len(al.origins)
+		al.rowBase = append(al.rowBase, start)
+	}
+	for cap(al.origins) < start+w {
+		al.origins = append(al.origins[:cap(al.origins)], 0)
+	}
+	al.origins = al.origins[:start+w]
+	return al.origins[start:]
 }
 
 // extend advances every valid M~ cell along its diagonal while bases match
@@ -241,74 +260,10 @@ func (al *Aligner) extend(mwf *Wavefront) {
 	}
 }
 
-// wfStore abstracts wavefront retention: full (for backtrace) or a sliding
-// window (score-only).
-type wfStore interface {
-	Get(c Component, s int) *Wavefront
-	Put(s int, iwf, dwf, mwf *Wavefront)
-}
-
-type fullStore struct {
-	wfs  [numComponents][]*Wavefront
-	pool *Pool
-}
-
-func newFullStore(maxScore int, pool *Pool) *fullStore {
-	st := &fullStore{pool: pool}
-	for c := range st.wfs {
-		st.wfs[c] = make([]*Wavefront, maxScore+1)
-	}
-	return st
-}
-
-// reset recycles every retained wavefront into the pool and re-sizes the
-// score axis for the next run, reusing the slot arrays' capacity.
-// Wavefronts are released score-descending so the LIFO pool pops them
-// narrowest-first — the order the next run requests widths in — keeping
-// each recycled backing array capacity-matched to the request it serves.
-func (st *fullStore) reset(maxScore int) {
-	n := 0
-	for c := range st.wfs {
-		if len(st.wfs[c]) > n {
-			n = len(st.wfs[c])
-		}
-	}
-	for s := n - 1; s >= 0; s-- {
-		for c := range st.wfs {
-			if s >= len(st.wfs[c]) {
-				continue
-			}
-			st.pool.Release(st.wfs[c][s])
-			st.wfs[c][s] = nil
-		}
-	}
-	for c := range st.wfs {
-		if cap(st.wfs[c]) >= maxScore+1 {
-			st.wfs[c] = st.wfs[c][:maxScore+1]
-		} else {
-			st.wfs[c] = make([]*Wavefront, maxScore+1)
-		}
-	}
-}
-
-func (st *fullStore) Get(c Component, s int) *Wavefront {
-	if s < 0 || s >= len(st.wfs[c]) {
-		return nil
-	}
-	return st.wfs[c][s]
-}
-
-func (st *fullStore) Put(s int, iwf, dwf, mwf *Wavefront) {
-	if s >= len(st.wfs[CompM]) {
-		invariant.Failf("wfa", "score %d beyond store capacity %d", s, len(st.wfs[CompM]))
-	}
-	st.wfs[CompM][s], st.wfs[CompI][s], st.wfs[CompD][s] = mwf, iwf, dwf
-}
-
 // Ring is the wavefront window: only the scores the recurrence can still
 // read are retained, the hardware's "only keep those necessary wavefront
-// vectors" policy (Section 4.3.1). The hardware Aligner always keeps one;
-// the software Aligner keeps one in score-only mode. Dead wavefronts
+// vectors" policy (Section 4.3.1). Both Aligners keep one in both modes:
+// the backtrace reads origins, never old wavefronts. Dead wavefronts
 // recycle through the owner's Pool.
 type Ring struct {
 	window int
