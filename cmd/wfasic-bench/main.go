@@ -12,17 +12,17 @@
 //	wfasic-bench -exp heuristics    # score-estimate heuristic accuracy
 //	wfasic-bench -exp ablations     # design-parameter ablations
 //	wfasic-bench -exp perf          # cycle attribution (hardware perf counters)
-//	wfasic-bench -exp fleet         # event-skipping speed + fleet scaling
+//	wfasic-bench -exp fleet         # fleet scaling (determinism across worker counts)
 //
 // -pairs scales the number of synthetic pairs per input set; -quick selects
 // a minimal smoke-test configuration. The perf experiment additionally
 // writes machine-readable artifacts: -perf-json emits the counter windows
 // as JSON (the BENCH_*.json format) and -trace-chrome emits a Chrome
 // trace_event timeline (open in chrome://tracing or Perfetto) for the
-// profile chosen by -trace-profile. The fleet experiment compares the naive
-// ticker against the event-skipping simulator (asserting identical results),
-// sweeps fleet worker counts up to -fleet, and writes its deterministic
-// artifact (the BENCH_10.json format) to -fleet-json.
+// profile chosen by -trace-profile. The fleet experiment sweeps fleet worker
+// counts up to -fleet (asserting an identical result digest at every count)
+// and writes its deterministic artifact (the BENCH_10.json format) to
+// -fleet-json.
 package main
 
 import (
@@ -188,19 +188,14 @@ func main() {
 		return nil
 	})
 	run("fleet", func() error {
-		speed, err := bench.SimSpeed(params)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.RenderSimSpeed(speed))
 		scale, err := bench.FleetScaling(params, *fleetWorkers)
 		if err != nil {
 			return err
 		}
-		fmt.Print("\n" + bench.RenderFleetScaling(scale))
+		fmt.Print(bench.RenderFleetScaling(scale))
 		if *fleetJSON != "" {
 			if err := writeFile(*fleetJSON, func(w io.Writer) error {
-				return bench.WriteFleetJSON(speed, scale, w)
+				return bench.WriteFleetJSON(scale, w)
 			}); err != nil {
 				return err
 			}

@@ -12,228 +12,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seqgen"
-	"repro/internal/seqio"
 	"repro/internal/soc"
 )
-
-// SimSpeedRow is one profile's event-skipping comparison: the same job run
-// through a naive-ticker machine and an event-skipping machine, with the
-// divergence check already enforced (SimSpeed errors on any mismatch). Two
-// families of metrics coexist: the deterministic tick-reduction fields
-// (identical on every host, regen+diff gated in BENCH_10.json) and the
-// host-measured wall-clock cycles/sec fields (best of simSpeedReps runs,
-// serialized under "wall_" keys the diff gate strips).
-type SimSpeedRow struct {
-	Profile     string
-	Pairs       int
-	AccelCycles int64 // identical in both modes (asserted)
-	// ExecutedTicks is the number of ticks the skip-mode machine actually
-	// executed: AccelCycles minus the cycles covered by skip jumps.
-	ExecutedTicks int64
-	SkippedCycles int64
-	SkipJumps     int64
-	// TickerNs/SkipNs are the best host wall-clock times over simSpeedReps
-	// runs of each mode.
-	TickerNs int64
-	SkipNs   int64
-}
-
-// Reduction is simulated cycles per executed tick — the deterministic,
-// host-independent component of the skip-mode cycles/sec advantage.
-func (r SimSpeedRow) Reduction() float64 {
-	if r.ExecutedTicks == 0 {
-		return 0
-	}
-	return float64(r.AccelCycles) / float64(r.ExecutedTicks)
-}
-
-// TickerCyclesPerSec is simulated cycles per host second in ticker mode.
-func (r SimSpeedRow) TickerCyclesPerSec() float64 { return cyclesPerSec(r.AccelCycles, r.TickerNs) }
-
-// SkipCyclesPerSec is simulated cycles per host second in skip mode.
-func (r SimSpeedRow) SkipCyclesPerSec() float64 { return cyclesPerSec(r.AccelCycles, r.SkipNs) }
-
-// Speedup is the wall-clock cycles/sec ratio of skip mode over the ticker —
-// the host-measured component of the BENCH_10 cycles/sec claim.
-func (r SimSpeedRow) Speedup() float64 {
-	if r.SkipNs == 0 {
-		return 0
-	}
-	return float64(r.TickerNs) / float64(r.SkipNs)
-}
-
-func cyclesPerSec(cycles, ns int64) float64 {
-	if ns == 0 {
-		return 0
-	}
-	return float64(cycles) / (float64(ns) / 1e9)
-}
-
-// simSpeedReps is the repetition count per (profile, mode): the same
-// register-programmed job reruns after a soft reset and the best time wins,
-// so scheduler noise and cold caches cannot understate the mode under test.
-const simSpeedReps = 3
-
-// SimSpeed runs every paper profile through a naive-ticker SoC and an
-// event-skipping SoC, errors on ANY observable divergence (cycle counts,
-// outcomes, perf counters — the equivalence contract of DESIGN.md), and
-// returns the per-profile comparison rows.
-func SimSpeed(params Params) ([]SimSpeedRow, error) {
-	cfg := core.ChipConfig()
-	var rows []SimSpeedRow
-	for _, profile := range seqgen.PaperSets(1) {
-		profile.NumPairs = params.pairsFor(profile)
-		set := InputSetFor(profile, cfg.MaxReadLenCap)
-
-		// Full-stack equivalence check first: one RunAccelerated per mode,
-		// compared on every observable (the timed loop below reuses the
-		// machine, so it is kept separate from the correctness check).
-		repT, err := simSpeedCheck(cfg, set, core.SimTicker)
-		if err != nil {
-			return nil, fmt.Errorf("bench: simspeed %s (ticker): %w", profile.Name, err)
-		}
-		repS, err := simSpeedCheck(cfg, set, core.SimSkip)
-		if err != nil {
-			return nil, fmt.Errorf("bench: simspeed %s (skip): %w", profile.Name, err)
-		}
-		if err := compareReports(repT, repS); err != nil {
-			return nil, fmt.Errorf("bench: simspeed %s: ticker/skip divergence: %w", profile.Name, err)
-		}
-
-		_, _, tickerNs, err := simSpeedRun(cfg, set, core.SimTicker, repT.AccelCycles)
-		if err != nil {
-			return nil, fmt.Errorf("bench: simspeed %s (ticker): %w", profile.Name, err)
-		}
-		jumps, skipped, skipNs, err := simSpeedRun(cfg, set, core.SimSkip, repS.AccelCycles)
-		if err != nil {
-			return nil, fmt.Errorf("bench: simspeed %s (skip): %w", profile.Name, err)
-		}
-		rows = append(rows, SimSpeedRow{
-			Profile:       profile.Name,
-			Pairs:         len(set.Pairs),
-			AccelCycles:   repT.AccelCycles,
-			ExecutedTicks: repT.AccelCycles - skipped,
-			SkippedCycles: skipped,
-			SkipJumps:     jumps,
-			TickerNs:      tickerNs,
-			SkipNs:        skipNs,
-		})
-	}
-	return rows, nil
-}
-
-// simSpeedCheck runs the set once through the full co-designed flow in the
-// given mode on a fresh SoC — the correctness sample compareReports consumes.
-func simSpeedCheck(cfg core.Config, set *seqio.InputSet, mode core.SimMode) (*soc.Report, error) {
-	s, err := newSoC(cfg, set, false)
-	if err != nil {
-		return nil, err
-	}
-	s.Machine.SetSimMode(mode)
-	return s.RunAccelerated(set, soc.RunOptions{})
-}
-
-// simSpeedRun times ONLY the simulation loop: the job image is staged and
-// register-programmed outside the timer, then Machine.Run is clocked over
-// simSpeedReps soft-reset repetitions (best rep wins). This is what
-// cycles/sec claims about the simulator core — SoC construction and image
-// packing cost the same in both modes and would only dilute the ratio.
-func simSpeedRun(cfg core.Config, set *seqio.InputSet, mode core.SimMode, wantCycles int64) (jumps, skipped, bestNs int64, err error) {
-	s, err := newSoC(cfg, set, false)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	s.Machine.SetSimMode(mode)
-	img, err := set.BuildImage()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	const inputAddr = 0x1000
-	s.Memory.Write(inputAddr, img)
-	job := soc.JobConfig{
-		InputAddr:  inputAddr,
-		OutputAddr: (inputAddr + uint64(len(img)) + 15) &^ 15,
-		NumPairs:   len(set.Pairs),
-		MaxReadLen: set.EffectiveMaxReadLen(),
-	}
-	for i := 0; i < simSpeedReps; i++ {
-		if err := s.Driver.Reset(); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := s.Driver.Configure(job); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := s.Driver.Start(); err != nil {
-			return 0, 0, 0, err
-		}
-		j0, k0 := s.Machine.SkipStats()
-		t0 := time.Now()
-		cycles, err := s.Machine.Run(100_000_000_000)
-		ns := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if cycles != wantCycles {
-			return 0, 0, 0, fmt.Errorf("timed rep took %d cycles, full-stack run took %d", cycles, wantCycles)
-		}
-
-		j1, k1 := s.Machine.SkipStats()
-		jumps, skipped = j1-j0, k1-k0
-		if bestNs == 0 || ns < bestNs {
-			bestNs = ns
-		}
-	}
-	return jumps, skipped, bestNs, nil
-}
-
-// compareReports enforces the bit-identity contract between the two modes on
-// everything a Report exposes.
-func compareReports(a, b *soc.Report) error {
-	if a.AccelCycles != b.AccelCycles {
-		return fmt.Errorf("AccelCycles %d vs %d", a.AccelCycles, b.AccelCycles)
-	}
-	if a.TotalCycles != b.TotalCycles {
-		return fmt.Errorf("TotalCycles %d vs %d", a.TotalCycles, b.TotalCycles)
-	}
-	if a.OutTransactions != b.OutTransactions {
-		return fmt.Errorf("OutTransactions %d vs %d", a.OutTransactions, b.OutTransactions)
-	}
-	if len(a.Outcomes) != len(b.Outcomes) {
-		return fmt.Errorf("%d vs %d outcomes", len(a.Outcomes), len(b.Outcomes))
-	}
-	for i := range a.Outcomes {
-		oa, ob := a.Outcomes[i], b.Outcomes[i]
-		if oa.ID != ob.ID || oa.Result.Score != ob.Result.Score || oa.Result.Success != ob.Result.Success {
-			return fmt.Errorf("outcome %d: pair %d score %d ok %v vs pair %d score %d ok %v",
-				i, oa.ID, oa.Result.Score, oa.Result.Success, ob.ID, ob.Result.Score, ob.Result.Success)
-		}
-	}
-	pa, _ := a.Perf.MarshalJSON()
-	pb, _ := b.Perf.MarshalJSON()
-	if string(pa) != string(pb) {
-		return fmt.Errorf("perf counter windows differ:\n%s\nvs\n%s", pa, pb)
-	}
-	return nil
-}
-
-// RenderSimSpeed formats the naive-vs-skip comparison: the deterministic
-// reduction column plus this host's measured cycles/sec in each mode.
-func RenderSimSpeed(rows []SimSpeedRow) string {
-	var b strings.Builder
-	b.WriteString("Event-skipping simulator speed (naive ticker vs skip mode, identical results asserted)\n")
-	b.WriteString("======================================================================================\n")
-	fmt.Fprintf(&b, "%-10s %6s %12s %12s %8s %10s %14s %14s %9s\n",
-		"profile", "pairs", "cycles", "executed", "jumps", "reduction", "ticker-cyc/s", "skip-cyc/s", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %6d %12d %12d %8d %9.1fx %14.3gM %14.3gM %8.2fx\n",
-			r.Profile, r.Pairs, r.AccelCycles, r.ExecutedTicks,
-			r.SkipJumps, r.Reduction(),
-			r.TickerCyclesPerSec()/1e6, r.SkipCyclesPerSec()/1e6, r.Speedup())
-	}
-	b.WriteString("\nreduction = simulated cycles per executed tick (host-independent); cyc/s and speedup\n")
-	b.WriteString("are this host's wall-clock measurements (best of " + fmt.Sprint(simSpeedReps) + " runs per mode).\n")
-	return b.String()
-}
 
 // FleetScaleRow is one worker count of the fleet-scaling sweep: the same job
 // list run on a fleet of that size, with a digest over the job-ordered
@@ -358,32 +138,15 @@ func RenderFleetScaling(rows []FleetScaleRow) string {
 	return b.String()
 }
 
-// fleetJSONDoc is the BENCH_10.json artifact: the event-skipping comparison
-// per paper profile and the fleet-determinism sweep. Fields under "wall_"
-// keys are host wall-clock measurements and are the ONLY nondeterministic
-// content — the regen+diff gate in scripts/check.sh strips lines matching
-// `"wall_` before diffing, so everything else must stay byte-stable.
+// fleetJSONDoc is the BENCH_10.json artifact: the fleet-determinism sweep.
+// Fields under "wall_" keys are host wall-clock measurements and are the ONLY
+// nondeterministic content — the regen+diff gate in scripts/check.sh strips
+// lines matching `"wall_` before diffing, so everything else must stay
+// byte-stable.
 type fleetJSONDoc struct {
-	Schema   string           `json:"schema"`
-	Workload string           `json:"workload"`
-	SimSpeed []fleetJSONSpeed `json:"sim_speed"`
-	Fleet    fleetJSONSweep   `json:"fleet"`
-}
-
-type fleetJSONSpeed struct {
-	Name          string  `json:"name"`
-	Pairs         int     `json:"pairs"`
-	AccelCycles   int64   `json:"accel_cycles"`
-	ExecutedTicks int64   `json:"executed_ticks"`
-	SkippedCycles int64   `json:"skipped_cycles"`
-	SkipJumps     int64   `json:"skip_jumps"`
-	ReductionX    float64 `json:"reduction_x"`
-	// Host-measured (stripped by the diff gate).
-	WallTickerCPS    float64 `json:"wall_ticker_cycles_per_sec"`
-	WallSkipCPS      float64 `json:"wall_skip_cycles_per_sec"`
-	WallSpeedupX     float64 `json:"wall_speedup_x"`
-	WallTickerMillis float64 `json:"wall_ticker_ms"`
-	WallSkipMillis   float64 `json:"wall_skip_ms"`
+	Schema   string         `json:"schema"`
+	Workload string         `json:"workload"`
+	Fleet    fleetJSONSweep `json:"fleet"`
 }
 
 type fleetJSONSweep struct {
@@ -405,27 +168,11 @@ type fleetJSONScal struct {
 }
 
 // WriteFleetJSON writes the machine-readable BENCH_10.json artifact for the
-// two experiments. Deterministic floats are rounded to one decimal so they
-// never pick up formatting noise; wall-clock floats vary by host and are
-// excluded from the regen+diff gate by their "wall_" key prefix.
-func WriteFleetJSON(speed []SimSpeedRow, scale []FleetScaleRow, w io.Writer) error {
-	doc := fleetJSONDoc{Schema: "wfasic-fleet-v1", Workload: "paper-sets"}
-	for _, r := range speed {
-		doc.SimSpeed = append(doc.SimSpeed, fleetJSONSpeed{
-			Name:             r.Profile,
-			Pairs:            r.Pairs,
-			AccelCycles:      r.AccelCycles,
-			ExecutedTicks:    r.ExecutedTicks,
-			SkippedCycles:    r.SkippedCycles,
-			SkipJumps:        r.SkipJumps,
-			ReductionX:       round1(r.Reduction()),
-			WallTickerCPS:    round1(r.TickerCyclesPerSec()),
-			WallSkipCPS:      round1(r.SkipCyclesPerSec()),
-			WallSpeedupX:     round1(r.Speedup()),
-			WallTickerMillis: round1(float64(r.TickerNs) / 1e6),
-			WallSkipMillis:   round1(float64(r.SkipNs) / 1e6),
-		})
-	}
+// sweep. Its floats are all wall-clock measurements, rounded to one decimal;
+// they vary by host and are excluded from the regen+diff gate by their
+// "wall_" key prefix.
+func WriteFleetJSON(scale []FleetScaleRow, w io.Writer) error {
+	doc := fleetJSONDoc{Schema: "wfasic-fleet-v2", Workload: "paper-sets"}
 	doc.Fleet.Profile = fleetProfile
 	doc.Fleet.WallGomaxprocs = runtime.GOMAXPROCS(0)
 	var base float64

@@ -173,8 +173,8 @@ func UnpackScoreRecord(p [BTPayloadBytes]byte) ScoreRecord {
 func PackOriginBlock(origins []uint8) []byte {
 	// The block escapes into the Aligner->Collector outbox and lives until
 	// the Collector finishes chunking it, so it cannot be scratch. BT
-	// streaming is the accelerator's documented slow path; the zero-alloc
-	// steady-state guarantee covers BTEnable=false runs.
+	// streaming is the accelerator's documented slow path;
+	// TestMachineRunAllocs pins what a backtrace run allocates.
 	out := make([]byte, (5*len(origins)+7)/8) //vet:allow hotalloc per-block buffer, only allocated when backtrace streaming is enabled
 	for c, o := range origins {
 		bit := 5 * c

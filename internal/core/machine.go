@@ -51,13 +51,6 @@ type Machine struct {
 	jobStart int64
 	running  bool
 
-	// Event-skipping state (see skip.go): the run mode chosen at
-	// construction from WFASIC_SIM_MODE, and the elision diagnostics
-	// SkipStats reports.
-	mode      SimMode
-	skipJumps int64
-	skipped   int64
-
 	// sdcInputBase / sdcWavefrontBase snapshot the monotone SDC stats at
 	// job start so RegSDCInput/RegSDCWavefront report per-job deltas.
 	sdcInputBase     int64
@@ -123,7 +116,6 @@ func NewMachine(cfg Config, memory *mem.Memory, ctl *mem.Controller) (*Machine, 
 		wrPort:  ctl.NewPort("wfasic-dma-wr"),
 		inFIFO:  sim.NewFIFO[[mem.BeatBytes]byte](cfg.InputFIFODepth),
 		outFIFO: sim.NewFIFO[[mem.BeatBytes]byte](cfg.OutputFIFODepth),
-		mode:    SimModeFromEnv(),
 	}
 	for i := 0; i < cfg.NumAligners; i++ {
 		m.aligners = append(m.aligners, NewAlignerHW(cfg, i))
@@ -209,8 +201,8 @@ func (m *Machine) startJob() {
 	}
 	if !ok {
 		// Every trace call site is guarded so the ...any argument boxing is
-		// skipped entirely when no tracer is attached (the nil-tracer steady
-		// state is proven allocation-free by the AllocsPerRun guard).
+		// skipped entirely when no tracer is attached (TestMachineRunAllocs
+		// counts a nil-tracer run's allocations exactly).
 		if m.tracer != nil {
 			m.trace("machine", "job-error", "rejected: maxReadLen=%d pairs=%d in=%#x out=%#x", //vet:allow hotalloc traced only when a tracer is attached
 				maxReadLen, numPairs, r.InputAddr, r.OutputAddr)
@@ -520,6 +512,12 @@ func (m *Machine) jobDone() bool {
 		m.ctl.Idle()
 }
 
+// SkipStats always returns (0, 0): every simulated cycle is an executed
+// tick. It is kept only for the host-plane benchmark (hostbench), which
+// derives its executed-tick count from it; the next change to that benchmark
+// removes the call and this method together.
+func (m *Machine) SkipStats() (jumps, cycles int64) { return 0, 0 }
+
 // Run ticks the machine until the job completes, returning the cycles spent.
 // It returns an error if the machine does not finish within maxCycles (the
 // paper's "no CPU freeze" robustness criterion: a hang is a bug, not a
@@ -542,6 +540,8 @@ const runCtxCheckEvery = 1024
 // where the last tick put it (mid-job), so the caller must soft-reset before
 // reusing it. Cancellation never perturbs the cycles already simulated: a
 // run that completes before the deadline is bit-identical to Run.
+//
+//vet:hotpath
 func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 	start := m.cycle
 	wd := int64(m.cfg.WatchdogCycles)
@@ -551,34 +551,11 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 	last := m.progress()
 	lastChange := m.cycle
 	nextCheck := m.cycle + runCtxCheckEvery
-	skip := m.mode == SimSkip
 	for m.Regs.startRequested || !m.Regs.Idle() {
 		if m.cycle >= nextCheck {
 			nextCheck = m.cycle + runCtxCheckEvery
 			if err := ctx.Err(); err != nil {
 				return m.cycle - start, err
-			}
-		}
-		if skip {
-			if n, ok := m.NextEventIn(); ok && n > 1 {
-				// Jump across the inert window, clamped so the cycle-budget
-				// check and the watchdog still observe the exact tick they
-				// would fire on under the naive ticker.
-				k := int64(1) << 62
-				if n-1 < uint64(k) {
-					k = int64(n - 1)
-				}
-				if b := start - m.cycle + maxCycles; b < k {
-					k = b
-				}
-				if wd > 0 {
-					if b := lastChange + wd - m.cycle - 1; b < k {
-						k = b
-					}
-				}
-				if k > 0 {
-					m.SkipTicks(uint64(k))
-				}
 			}
 		}
 		m.Tick()
@@ -587,21 +564,20 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 				last = sig
 				lastChange = m.cycle
 			} else if m.cycle-lastChange >= wd {
-				return m.cycle - start, &HangError{
-					Cycle:        m.cycle,
-					Stalled:      m.cycle - lastChange,
-					ReadsPending: m.readBeatsLeft,
-					Outstanding:  m.outstanding,
-					InFIFO:       m.inFIFO.Occupancy(),
-					OutFIFO:      m.outFIFO.Occupancy(),
-					Dispatched:   m.extractor.pairsDispatched,
-					Transactions: m.collector.Transactions,
-				}
+				return m.cycle - start, m.hangError(m.cycle - lastChange)
 			}
 		}
 		if m.cycle-start > maxCycles {
-			return m.cycle - start, fmt.Errorf("core: machine did not finish within %d cycles", maxCycles)
+			return m.cycle - start, budgetExceeded(maxCycles)
 		}
 	}
 	return m.cycle - start, nil
+}
+
+// budgetExceeded builds RunCtx's error for a job that outran its cycle
+// budget. It runs on the failure path only.
+//
+//vet:coldpath
+func budgetExceeded(maxCycles int64) error {
+	return fmt.Errorf("core: machine did not finish within %d cycles", maxCycles)
 }

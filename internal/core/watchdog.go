@@ -31,6 +31,23 @@ func (e *HangError) Error() string {
 		e.Stalled, e.Cycle, e.ReadsPending, e.Outstanding, e.InFIFO, e.OutFIFO, e.Dispatched, e.Transactions)
 }
 
+// hangError snapshots the datapath into the watchdog's diagnosis after
+// stalled cycles without progress. It runs on the failure path only.
+//
+//vet:coldpath
+func (m *Machine) hangError(stalled int64) error {
+	return &HangError{
+		Cycle:        m.cycle,
+		Stalled:      stalled,
+		ReadsPending: m.readBeatsLeft,
+		Outstanding:  m.outstanding,
+		InFIFO:       m.inFIFO.Occupancy(),
+		OutFIFO:      m.outFIFO.Occupancy(),
+		Dispatched:   m.extractor.pairsDispatched,
+		Transactions: m.collector.Transactions,
+	}
+}
+
 // progressSig snapshots every completion counter in the datapath. Two equal
 // snapshots mean the machine did no observable work in between; counters
 // that can advance forever without real progress (controller busy cycles)

@@ -170,22 +170,6 @@ func (j *Injector) capped() bool {
 	return j.cfg.MaxEvents > 0 && j.total >= int64(j.cfg.MaxEvents)
 }
 
-// PerTickQuiescent reports whether the injector is guaranteed to draw no
-// per-tick fault trials for as long as the machine merely idles forward.
-// Two hook classes are consulted every cycle rather than per event:
-// StallStorm (once per controller tick while no storm is active) and
-// SpuriousIRQ (once per running machine tick). If either probability is
-// live and the event cap has not been reached, every skipped cycle would
-// have advanced the shared PCG stream, so the event-skipping core must
-// fall back to naive ticking. The verdict is stable across an inert
-// window: no draws happen inside one, so capped() cannot change there.
-func (j *Injector) PerTickQuiescent() bool {
-	if j == nil || j.capped() {
-		return true
-	}
-	return j.cfg.StallStormProb == 0 && j.cfg.IRQSpuriousProb == 0
-}
-
 // roll draws one Bernoulli trial at probability p. Zero-probability hooks
 // never touch the PRNG, so adding a fault class to a schedule does not
 // reshuffle the draws of the classes already present... within a hook; across

@@ -203,14 +203,6 @@ func (p *Port) Idle() bool {
 	return len(p.pending) == 0 && len(p.delivered) == 0
 }
 
-// ResponsesPending reports whether the port holds completed read beats or
-// latched error responses the client has not drained yet. The event-skipping
-// core uses it as a conservative wake condition: a client with responses
-// waiting may act on the very next tick, so no cycle may be skipped.
-func (p *Port) ResponsesPending() bool {
-	return len(p.delivered) > 0 || len(p.faults) > 0
-}
-
 // PendingBeats reports how many beats remain across queued transactions.
 func (p *Port) PendingBeats() int {
 	n := 0
@@ -328,60 +320,6 @@ func (c *Controller) Tick() {
 	}
 	// A beat completes this cycle.
 	c.completeBeat(cycle)
-}
-
-// inertForever is the horizon reported when the controller cannot change
-// state on its own; only a client request (bounded by that client's own
-// horizon) can wake it.
-const inertForever = ^uint64(0)
-
-// NextEventIn reports a conservative skip horizon: the next n-1 ticks are
-// provably inert (only bulk-addable busy/idle/wait accounting), and the nth
-// tick may complete a beat or grant a transaction. ok=false means the
-// controller cannot promise anything — an active stall storm burns state
-// every tick, and a per-tick-live injector draws from the shared PRNG
-// stream on every cycle, so both force naive ticking.
-func (c *Controller) NextEventIn() (uint64, bool) {
-	if c.storm > 0 || !c.inj.PerTickQuiescent() {
-		return 0, false
-	}
-	if c.active != nil {
-		// cooldown ticks of pure countdown, then the beat completes.
-		return uint64(c.cooldown) + 1, true
-	}
-	for _, p := range c.ports {
-		if len(p.pending) > 0 {
-			return 1, true // next tick arbitrates
-		}
-	}
-	return inertForever, true
-}
-
-// SkipTicks advances the controller across k ticks proven inert by
-// NextEventIn, applying exactly the per-tick bookkeeping k naive Tick calls
-// would have: cycle count, busy/idle cycles, and wait accounting for ports
-// queued behind the active transaction.
-func (c *Controller) SkipTicks(k uint64) {
-	invariant.Checkf(c.storm == 0, "mem", "Controller.SkipTicks during stall storm (%d left)", c.storm)
-	n := int64(k)
-	c.cycle += n
-	if c.active != nil {
-		invariant.Checkf(n <= int64(c.cooldown), "mem",
-			"Controller.SkipTicks(%d) overshoots beat completion in %d", k, c.cooldown)
-		c.cooldown -= int(n)
-		c.BusyCycles += n
-		for _, p := range c.ports {
-			if p != c.active && len(p.pending) > 0 {
-				p.WaitCycles += n
-			}
-		}
-		return
-	}
-	for _, p := range c.ports {
-		invariant.Checkf(len(p.pending) == 0, "mem",
-			"Controller.SkipTicks(%d) with port %q pending arbitration", k, p.name)
-	}
-	c.IdleCycles += n
 }
 
 func (c *Controller) arbitrate(cycle int64) {

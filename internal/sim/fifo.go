@@ -11,12 +11,6 @@ package sim
 
 import "repro/internal/invariant"
 
-// inertForever is the horizon a module reports when it cannot change state
-// on its own: only another module's activity (bounded by that module's own
-// horizon) can wake it, so the machine-level min() is what actually bounds
-// the skip.
-const inertForever = ^uint64(0)
-
 // FIFO is a show-ahead FIFO of fixed depth: the oldest unread word is
 // available combinationally at Front and is consumed by Pop (the Vivado
 // "show ahead" mode of Section 4.6). Pushes are staged and commit at Tick,
@@ -95,30 +89,6 @@ func (f *FIFO[T]) Tick() {
 	if occ := f.Occupancy(); occ > f.MaxOccupancy {
 		f.MaxOccupancy = occ
 	}
-}
-
-// NextEventIn reports a conservative horizon for the event-skipping core:
-// the number of ticks n such that ticks 1..n-1 are provably inert for this
-// FIFO. With pushes staged, the very next Tick commits them (n = 1). With
-// nothing staged, Tick is a pure no-op forever: the queue cannot change
-// until some producer calls Push, and every producer's own horizon already
-// bounds when that can happen, so the FIFO itself reports "inert until
-// further notice" (MaxUint64).
-func (f *FIFO[T]) NextEventIn() (uint64, bool) {
-	if len(f.staged) > 0 {
-		return 1, true
-	}
-	return inertForever, true
-}
-
-// SkipTicks advances the FIFO across k provably-inert ticks. Nothing is
-// staged inside an inert window (NextEventIn returned > 1), so there is
-// nothing to commit, and MaxOccupancy was already raised to the current
-// occupancy by the last executed Tick — a no-op is bit-identical to k
-// naive Tick calls.
-func (f *FIFO[T]) SkipTicks(k uint64) {
-	invariant.Checkf(len(f.staged) == 0, "sim", "FIFO.SkipTicks with %d staged pushes", len(f.staged))
-	_ = k
 }
 
 // Reset discards all contents and statistics.

@@ -87,13 +87,8 @@ func TestRunResilientCtxPreCancelled(t *testing.T) {
 // ErrDeadline, and leaves the device reusable after the driver's soft reset.
 func TestRunResilientCtxMidRunDeadline(t *testing.T) {
 	// Every read grant is lost and the watchdog is effectively disabled, so
-	// the job can only ever end through the context. The hang must also burn
-	// real wall-clock time for the 30ms deadline to land mid-attempt, so the
-	// naive ticker is pinned: the event-skipping core would fast-forward the
-	// whole hang in microseconds and the attempt would end through the cycle
-	// budget instead of the context.
+	// the job can only ever end through the context.
 	s := newChaosSoC(t, 1<<30, fault.Config{Seed: 7, LostGrantProb: 1})
-	s.Machine.SetSimMode(core.SimTicker)
 	g := smallSet(4, 100)
 	set := g.Set(seqgen.Profile{Name: "p", Length: 100, ErrorRate: 0.05, NumPairs: 4})
 

@@ -34,10 +34,10 @@
 #                   values and pair counts
 #  12. invariantdebug  the invariant and core packages under the verbose
 #                   invariant build tag
-#  13. naive ticker, chaos, SDC and soak campaigns (-count=1)
+#  13. chaos, SDC and soak campaigns (-count=1)
 #  14. regen + diff of the committed benchmark snapshots: BENCH_8 (serve
 #                   model), BENCH_9 (SDC-defense cost), BENCH_5 (perf
-#                   counters), BENCH_10 (event skipping and fleet)
+#                   counters), BENCH_10 (fleet determinism)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,19 +98,6 @@ go test -run '^$' -fuzz '^FuzzAuditImage$' -fuzztime 15s ./internal/seqio/
 
 echo "== go test (invariantdebug build) =="
 go test -tags invariantdebug ./internal/invariant/ ./internal/core/
-
-# The suite above runs in the default event-skipping mode (WFASIC_SIM_MODE
-# unset => skip). Re-running the golden-bearing packages under the naive
-# ticker proves both simulation modes produce identical observables on every
-# golden, chaos campaign and perf-counter snapshot — the equivalence
-# contract of internal/core/skip.go. -count=1 so the cache cannot satisfy
-# the second mode with the first mode's pass.
-echo "== golden suite under the naive ticker (WFASIC_SIM_MODE=ticker) =="
-if [[ "${SKIP_RACE:-0}" == "1" ]]; then
-    WFASIC_SIM_MODE=ticker go test -short -count=1 ./internal/core/ ./internal/soc/
-else
-    WFASIC_SIM_MODE=ticker go test -count=1 ./internal/core/ ./internal/soc/
-fi
 
 # The seeded chaos campaign (internal/soc/chaos_test.go) re-runs explicitly
 # with -count=1 so a cached pass can never mask a schedule regression: every
@@ -175,14 +162,13 @@ go run ./cmd/wfasic-bench -exp perf -perf-json perf-counters.json -trace-chrome 
 diff BENCH_5.json perf-counters.json
 rm -f perf-counters.json perf-trace.json
 
-# BENCH_10.json is the committed event-skipping/fleet artifact: per-profile
-# tick-reduction factors (with the ticker-vs-skip equivalence asserted inside
-# the experiment) and the fleet-determinism sweep. Lines carrying the "wall_"
-# key prefix are host wall-clock measurements and are the only sanctioned
-# nondeterminism — they are stripped before the diff; everything else must
-# be byte-stable. Regenerate deliberately with
+# BENCH_10.json is the committed fleet artifact: the fleet-determinism sweep
+# (an identical result digest asserted at every worker count). Lines carrying
+# the "wall_" key prefix are host wall-clock measurements and are the only
+# sanctioned nondeterminism — they are stripped before the diff; everything
+# else must be byte-stable. Regenerate deliberately with
 # go run ./cmd/wfasic-bench -exp fleet -fleet-json BENCH_10.json.
-echo "== event-skipping/fleet bench (regen + diff, wall_ lines excluded) =="
+echo "== fleet bench (regen + diff, wall_ lines excluded) =="
 go run ./cmd/wfasic-bench -exp fleet -fleet-json fleet-bench.json > /dev/null
 diff <(grep -v '"wall_' BENCH_10.json) <(grep -v '"wall_' fleet-bench.json)
 rm -f fleet-bench.json
