@@ -12,19 +12,25 @@
 //     handles the gaps between backtrace data" (the 6 info bytes inside
 //     every 16-byte transaction) by gap-aware indexing.
 //
-// The decoder re-derives the layout of the origin stream purely from the
-// penalties, the sequence lengths, k_max and the parallel-section count,
-// using the same data-independent RangeTracker the hardware iterates with.
+// The decoder re-derives the layout of each origin stream purely from the
+// penalties, the sequence lengths, k_max, the parallel-section count and the
+// score record, with one core.BTLayout replay of the same data-independent
+// range recurrence the hardware iterates with. That one replay sizes the
+// stream, which locates its boundary, and then locates every origin the
+// backward walk reads. Both methods read a stream through one view, which
+// differs only in the stride between 10-byte payload chunks.
 package bt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/seqio"
+	"repro/internal/wfa"
 )
 
 // Alignment is one decoded result.
@@ -44,48 +50,37 @@ type Stats struct {
 }
 
 // Decoder decodes BT regions produced by a machine with the given
-// configuration.
+// configuration. It owns the stream layout and the walk scratch and reuses
+// them across streams and calls, so a Decoder is not safe for concurrent
+// use.
 type Decoder struct {
-	cfg core.Config
+	cfg        core.Config
+	blockBytes int // payload bytes per origin block, padding included
+	layout     core.BTLayout
+	ops        []wfa.BackOp
 }
 
 // NewDecoder returns a decoder for the accelerator configuration.
-func NewDecoder(cfg core.Config) *Decoder { return &Decoder{cfg: cfg} }
-
-// payloadReader abstracts where the origin stream lives: a separated flat
-// buffer (multi-Aligner) or a gap-aware view of the raw transactions
-// (single-Aligner).
-type payloadReader interface {
-	ByteAt(i int) byte
-	Len() int
+func NewDecoder(cfg core.Config) *Decoder {
+	return &Decoder{cfg: cfg, blockBytes: cfg.BTBlockTransactions() * core.BTPayloadBytes}
 }
 
-type flatPayload []byte
-
-func (p flatPayload) ByteAt(i int) byte { return p[i] }
-func (p flatPayload) Len() int          { return len(p) }
-
-// gappedPayload reads payload byte i directly out of the raw transaction
-// region without copying: transaction i/10, offset i%10.
-type gappedPayload struct {
-	raw     []byte // the raw region, 16-byte transactions
-	firstTx int    // first transaction belonging to this alignment
-	numTx   int    // payload-carrying transactions (excludes the score record)
+// payload is one alignment's origin stream read in place: payload byte i
+// lives in chunk i/BTPayloadBytes, which starts stride bytes after the
+// previous one. A separated buffer has stride BTPayloadBytes; the raw
+// region has stride mem.BeatBytes, skipping the six info bytes of every
+// transaction ("correctly handles the gaps between backtrace data"). raw
+// ends where the stream's last chunk does.
+type payload struct {
+	raw    []byte
+	first  int // offset of the first chunk in raw
+	stride int
 }
 
-func (p gappedPayload) ByteAt(i int) byte {
-	tx := i / core.BTPayloadBytes
-	off := i % core.BTPayloadBytes
-	return p.raw[(p.firstTx+tx)*mem.BeatBytes+off]
-}
+func (p payload) len() int { return (len(p.raw) - p.first) / p.stride * core.BTPayloadBytes }
 
-func (p gappedPayload) Len() int { return p.numTx * core.BTPayloadBytes }
-
-// stream is one alignment's reassembled BT output.
-type stream struct {
-	id      uint32
-	payload payloadReader
-	rec     core.ScoreRecord
+func (p payload) at(i int) byte {
+	return p.raw[p.first+i/core.BTPayloadBytes*p.stride+i%core.BTPayloadBytes]
 }
 
 // DecodeRegion decodes a raw BT output region of numTransactions 16-byte
@@ -100,44 +95,37 @@ func (d *Decoder) DecodeRegion(raw []byte, numTransactions int, pairs map[uint32
 		return nil, Stats{}, fmt.Errorf("bt: region %dB too small for %d transactions", len(raw), numTransactions)
 	}
 	var st Stats
-	var streams []stream
+	out := make([]Alignment, 0, len(pairs))
 	var err error
 	if separate {
-		streams, err = d.separate(raw, numTransactions, &st)
+		out, err = d.separate(raw, numTransactions, pairs, out, &st)
 	} else {
-		streams, err = d.jumpBoundaries(raw, numTransactions, pairs, &st)
+		out, err = d.jumpBoundaries(raw, numTransactions, pairs, out, &st)
 	}
 	if err != nil {
 		return nil, st, err
 	}
-
-	out := make([]Alignment, 0, len(streams))
-	for _, s := range streams {
-		pair, ok := pairs[s.id]
-		if !ok {
-			return nil, st, fmt.Errorf("bt: result for unknown alignment ID %d", s.id)
-		}
-		if !s.rec.Success {
-			out = append(out, Alignment{ID: s.id, Result: align.Result{Success: false}})
-			continue
-		}
-		cigar, err := d.replay(pair.A, pair.B, s, &st)
-		if err != nil {
-			return nil, st, fmt.Errorf("bt: alignment %d: %w", s.id, err)
-		}
-		out = append(out, Alignment{ID: s.id, Result: align.Result{
-			Score:   int(s.rec.Score),
-			CIGAR:   cigar,
-			Success: true,
-		}})
-	}
 	return out, st, nil
+}
+
+// decode reconstructs one alignment from its score record and its origin
+// stream p. For a successful record d.layout must hold the stream's layout.
+func (d *Decoder) decode(id uint32, pair seqio.Pair, p payload, rec core.ScoreRecord, st *Stats) (Alignment, error) {
+	if !rec.Success {
+		return Alignment{ID: id, Result: align.Result{Success: false}}, nil
+	}
+	cigar, err := d.replay(pair.A, pair.B, p, rec, st)
+	if err != nil {
+		return Alignment{}, fmt.Errorf("bt: alignment %d: %w", id, err)
+	}
+	return Alignment{ID: id, Result: align.Result{Score: int(rec.Score), CIGAR: cigar, Success: true}}, nil
 }
 
 // separate implements the multi-Aligner data-separation step: every
 // transaction is read, grouped by alignment ID, ordered by counter, and its
-// payload copied into a contiguous per-alignment buffer.
-func (d *Decoder) separate(raw []byte, numTransactions int, st *Stats) ([]stream, error) {
+// payload copied into a contiguous per-alignment buffer, which is then
+// decoded with a layout replayed from its score record.
+func (d *Decoder) separate(raw []byte, numTransactions int, pairs map[uint32]seqio.Pair, out []Alignment, st *Stats) ([]Alignment, error) {
 	type txRef struct {
 		counter uint32
 		index   int
@@ -156,7 +144,6 @@ func (d *Decoder) separate(raw []byte, numTransactions int, st *Stats) ([]stream
 		}
 		byID[tr.ID] = append(byID[tr.ID], txRef{counter: tr.Counter, index: i, last: tr.Last})
 	}
-	var streams []stream
 	for _, id := range order {
 		refs := byID[id]
 		sort.Slice(refs, func(a, b int) bool { return refs[a].counter < refs[b].counter })
@@ -173,29 +160,35 @@ func (d *Decoder) separate(raw []byte, numTransactions int, st *Stats) ([]stream
 		if err != nil {
 			return nil, err
 		}
-		streams = append(streams, stream{
-			id:      id,
-			payload: flatPayload(buf),
-			rec:     core.UnpackScoreRecord(lastTx.Payload),
-		})
+		pair, ok := pairs[id]
+		if !ok {
+			return nil, fmt.Errorf("bt: result for unknown alignment ID %d", id)
+		}
+		rec := core.UnpackScoreRecord(lastTx.Payload)
+		if rec.Success {
+			d.layout.Fill(d.cfg, len(pair.A), len(pair.B), int(rec.Score))
+		}
+		al, err := d.decode(id, pair, payload{raw: buf, stride: core.BTPayloadBytes}, rec, st)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, al)
 	}
-	return streams, nil
+	return out, nil
 }
 
 // jumpBoundaries implements the single-Aligner method without touching the
 // bulk of the stream: because the origin-stream layout is a deterministic
 // function of (sequence lengths, penalties, k_max, parallel sections, final
 // score), the CPU reads only the score records. Starting from the last
-// transaction of the region (always a score record), it computes that
-// alignment's exact stream size from its score, jumps to the stream's start,
-// and finds the previous alignment's score record immediately before it.
-// The whole boundary identification is O(pairs) memory touches, which is
-// what makes the no-separation method dramatically faster than separation
-// for long reads (Figure 11).
-func (d *Decoder) jumpBoundaries(raw []byte, numTransactions int, pairs map[uint32]seqio.Pair, st *Stats) ([]stream, error) {
-	var streams []stream
-	idx := numTransactions - 1
-	for idx >= 0 {
+// transaction of the region (always a score record), it fills that
+// alignment's layout from its score, decodes the stream in place with it,
+// jumps to the stream's start, and finds the previous alignment's score
+// record immediately before it. The whole boundary identification is
+// O(pairs) memory touches, which is what makes the no-separation method
+// dramatically faster than separation for long reads (Figure 11).
+func (d *Decoder) jumpBoundaries(raw []byte, numTransactions int, pairs map[uint32]seqio.Pair, out []Alignment, st *Stats) ([]Alignment, error) {
+	for idx := numTransactions - 1; idx >= 0; {
 		tr, err := core.UnpackBTTransaction(raw[idx*mem.BeatBytes:])
 		if err != nil {
 			return nil, err
@@ -211,21 +204,19 @@ func (d *Decoder) jumpBoundaries(raw []byte, numTransactions int, pairs map[uint
 		}
 		// For a failed alignment the record carries the last score budget
 		// processed, which sizes its stream the same way.
-		numTx := d.cfg.BTStreamTransactions(len(pair.A), len(pair.B), int(rec.Score))
+		numTx := d.layout.Fill(d.cfg, len(pair.A), len(pair.B), int(rec.Score))
 		start := idx - numTx
 		if start < 0 {
 			return nil, fmt.Errorf("bt: alignment %d claims %d transactions but only %d precede it", tr.ID, numTx, idx)
 		}
-		streams = append(streams, stream{
-			id:      tr.ID,
-			payload: gappedPayload{raw: raw, firstTx: start, numTx: numTx},
-			rec:     rec,
-		})
+		p := payload{raw: raw[:idx*mem.BeatBytes], first: start * mem.BeatBytes, stride: mem.BeatBytes}
+		al, err := d.decode(tr.ID, pair, p, rec, st)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, al)
 		idx = start - 1
 	}
-	// Restore input order (we walked backward).
-	for i, j := 0, len(streams)-1; i < j; i, j = i+1, j-1 {
-		streams[i], streams[j] = streams[j], streams[i]
-	}
-	return streams, nil
+	slices.Reverse(out) // restore input order: the region was walked backward
+	return out, nil
 }

@@ -44,6 +44,9 @@ type Collector struct {
 	// the pre-FIFO side, so output-path faults (flipped or dropped beats in
 	// the DMA write engine) make the memory image disagree with it.
 	outCRC uint32
+	// crcBeat is outCRC's input: checksumming push's parameter would move
+	// every output beat to the heap.
+	crcBeat [mem.BeatBytes]byte
 
 	// Emitted and BackpressureCycles are monotone over the machine's lifetime
 	// (they survive Reset/Configure, unlike Transactions, which feeds the
@@ -200,5 +203,6 @@ func (c *Collector) push(beat [mem.BeatBytes]byte) {
 	}
 	c.Transactions++
 	c.Emitted++
-	c.outCRC = integrity.CRCUpdate(c.outCRC, beat[:])
+	c.crcBeat = beat
+	c.outCRC = integrity.CRCUpdate(c.outCRC, c.crcBeat[:])
 }

@@ -36,8 +36,9 @@ type Extractor struct {
 	lenA, lenB     int
 	rawA, rawB     []byte
 	unsupported    bool
-	crc            uint32 // running ingest CRC32C over the pair's beats
-	expectWitness  uint32 // witness extracted from the header (0 = absent)
+	crc            uint32              // running ingest CRC32C over the pair's beats
+	crcBeat        [mem.BeatBytes]byte // CRC input: checksumming a parameter would move it to the heap
+	expectWitness  uint32              // witness extracted from the header (0 = absent)
 	dispatchWait   int
 	pairStartCycle int64
 
@@ -167,6 +168,7 @@ func (e *Extractor) beginPair(a *AlignerHW, cycle int64) {
 
 func (e *Extractor) consumeBeat(beat [mem.BeatBytes]byte) {
 	seqBeats := e.maxReadLen / seqio.SectionBytes
+	e.crcBeat = beat
 	switch {
 	case e.beatIdx == 0:
 		e.id = binary.LittleEndian.Uint32(beat[0:4])
@@ -181,17 +183,16 @@ func (e *Extractor) consumeBeat(beat [mem.BeatBytes]byte) {
 		}
 		// The ingest CRC (Section 4.2 extended by the integrity layer)
 		// accumulates over the pair block with the witness field zeroed —
-		// the same stream PairWitness checksums at build time. beat is a
-		// by-value copy, so masking it here is local.
+		// the same stream PairWitness checksums at build time.
 		e.expectWitness = binary.LittleEndian.Uint32(beat[12:16])
-		beat[12], beat[13], beat[14], beat[15] = 0, 0, 0, 0
-		e.crc = integrity.CRC(beat[:])
+		e.crcBeat[12], e.crcBeat[13], e.crcBeat[14], e.crcBeat[15] = 0, 0, 0, 0
+		e.crc = integrity.CRC(e.crcBeat[:])
 	case e.beatIdx <= seqBeats:
 		e.rawA = append(e.rawA, beat[:]...)
-		e.crc = integrity.CRCUpdate(e.crc, beat[:])
+		e.crc = integrity.CRCUpdate(e.crc, e.crcBeat[:])
 	default:
 		e.rawB = append(e.rawB, beat[:]...)
-		e.crc = integrity.CRCUpdate(e.crc, beat[:])
+		e.crc = integrity.CRCUpdate(e.crc, e.crcBeat[:])
 	}
 }
 

@@ -116,22 +116,50 @@ func (c Config) BTBlockTransactions() int {
 	return (c.BTBlockBytes() + BTPayloadBytes - 1) / BTPayloadBytes
 }
 
-// BTStreamTransactions is the payload-transaction count of one alignment's
-// backtrace stream, its score record not included. The layout depends only
-// on the configuration, the read lengths n and m and the score the record
-// reports: every score 1..score whose M~ range is non-empty emits one origin
-// block per parallel-section batch of that range. The CPU sizes the output
-// region and finds stream boundaries with it, without reading the stream.
-func (c Config) BTStreamTransactions(n, m, score int) int {
-	tracker := wfa.NewRangeTracker(c.Penalties, n, m, c.KMax)
-	bank := Banking{P: c.ParallelSections, KMax: c.KMax}
+// BTLayout is the layout of one alignment's backtrace stream, its score
+// record not included. The layout depends only on the configuration, the
+// read lengths and the score the record reports: every score 1..score whose
+// M~ range is non-empty emits one origin block per parallel-section batch of
+// that range. The CPU sizes the output region, finds stream boundaries and
+// locates every origin with it, without reading the stream (Section 4.5).
+// A caller owns one BTLayout and refills it per stream, so the tracker and
+// the per-score table keep their capacity.
+type BTLayout struct {
+	tracker wfa.RangeTracker
+	bank    Banking
+	// bias[s] + RowOf(k)/P is the block holding cell (s, k): score s's
+	// first block minus the batch index of its first batch row.
+	bias []int
+}
+
+// Fill replays the range recurrence of an n x m pair under c up to score
+// and returns the stream's payload-transaction count.
+func (l *BTLayout) Fill(c Config, n, m, score int) int {
+	l.tracker.Reset(c.Penalties, n, m, c.KMax)
+	l.bank = Banking{P: c.ParallelSections, KMax: c.KMax}
+	l.bias = append(l.bias[:0], 0) // score 0 emits no blocks
 	blocks := 0
 	for s := 1; s <= score; s++ {
-		if _, _, mR := tracker.Extend(s); !mR.Empty() {
-			blocks += bank.NumBatches(mR.Lo, mR.Hi)
-		}
+		_, _, mR := l.tracker.Extend(s)
+		l.bias = append(l.bias, blocks-l.bank.RowOf(mR.Lo)/l.bank.P)
+		blocks += l.bank.NumBatches(mR.Lo, mR.Hi)
 	}
 	return blocks * c.BTBlockTransactions()
+}
+
+// Locate finds the 5-bit origin of cell (s, k): it starts shift bits into
+// byte off of origin block block. It fails when k lies outside M~(s) or s
+// outside the filled scores.
+func (l *BTLayout) Locate(s, k int) (block, off, shift int, err error) {
+	if s <= 0 || s >= len(l.bias) {
+		return 0, 0, 0, fmt.Errorf("core: no origin block for score %d", s)
+	}
+	if mR := l.tracker.MRange(s); k < mR.Lo || k > mR.Hi {
+		return 0, 0, 0, fmt.Errorf("core: diagonal %d outside M~ range [%d,%d] at score %d", k, mR.Lo, mR.Hi, s)
+	}
+	r := l.bank.RowOf(k)
+	bit := 5 * (r % l.bank.P)
+	return l.bias[s] + r/l.bank.P, bit / 8, bit % 8, nil
 }
 
 // ScoreRecord is the final datum of a backtrace-enabled alignment: "These

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/seqio"
+	"repro/internal/wfa"
 )
 
 func TestNBTRecordRoundTrip(t *testing.T) {
@@ -267,6 +268,51 @@ func TestWindow16(t *testing.T) {
 		got := seqio.UnpackWord(w, take)
 		if string(got) != string(seq[pos:pos+take]) {
 			t.Fatalf("Window16(%d) = %s want %s", pos, got, seq[pos:pos+take])
+		}
+	}
+}
+
+// TestBTLayoutTilesTheStream checks Locate against the count Fill returns:
+// walking scores and diagonals in order, the cells of every non-empty score
+// fill fresh consecutive blocks, each cell lands on its own bank's 5 bits,
+// and the blocks add up to exactly the stream Fill sized. Cells outside
+// M~(s) and scores outside the filled range are errors.
+func TestBTLayoutTilesTheStream(t *testing.T) {
+	cfg := ChipConfig()
+	cfg.KMax = 40
+	const n, m, score = 150, 120, 90
+	var l BTLayout
+	for refill := 0; refill < 2; refill++ { // a refilled layout starts over
+		tx := l.Fill(cfg, n, m, score)
+		tracker := wfa.NewRangeTracker(cfg.Penalties, n, m, cfg.KMax)
+		bank := Banking{P: cfg.ParallelSections, KMax: cfg.KMax}
+		next := 0 // first block not yet used by an earlier score
+		for s := 1; s <= score; s++ {
+			_, _, mR := tracker.Extend(s)
+			if _, _, _, err := l.Locate(s, mR.Hi+1); err == nil {
+				t.Fatalf("s=%d: diagonal %d above M~ located", s, mR.Hi+1)
+			}
+			last := next - 1
+			for k := mR.Lo; k <= mR.Hi; k++ {
+				block, off, shift, err := l.Locate(s, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (k == mR.Lo && block != next) || block < last || block > last+1 {
+					t.Fatalf("s=%d k=%d: block %d after block %d (score starts at %d)", s, k, block, last, next)
+				}
+				if bit := 5 * (bank.RowOf(k) % bank.P); off != bit/8 || shift != bit%8 {
+					t.Fatalf("s=%d k=%d: byte %d shift %d, want bit %d", s, k, off, shift, bit)
+				}
+				last = block
+			}
+			next = last + 1
+		}
+		if want := next * cfg.BTBlockTransactions(); tx != want {
+			t.Fatalf("Fill = %d transactions, Locate tiles %d", tx, want)
+		}
+		if _, _, _, err := l.Locate(score+1, 0); err == nil {
+			t.Fatal("score past the filled range located")
 		}
 	}
 }

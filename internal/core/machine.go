@@ -200,12 +200,8 @@ func (m *Machine) startJob() {
 		}
 	}
 	if !ok {
-		// Every trace call site is guarded so the ...any argument boxing is
-		// skipped entirely when no tracer is attached (TestMachineRunAllocs
-		// counts a nil-tracer run's allocations exactly).
 		if m.tracer != nil {
-			m.trace("machine", "job-error", "rejected: maxReadLen=%d pairs=%d in=%#x out=%#x", //vet:allow hotalloc traced only when a tracer is attached
-				maxReadLen, numPairs, r.InputAddr, r.OutputAddr)
+			m.traceJobError(maxReadLen, numPairs, r.InputAddr, r.OutputAddr)
 		}
 		m.perfRejects++
 		r.errored = true
@@ -217,8 +213,7 @@ func (m *Machine) startJob() {
 		return
 	}
 	if m.tracer != nil {
-		m.trace("machine", "job-start", "pairs=%d maxReadLen=%d bt=%v in=%#x out=%#x", //vet:allow hotalloc traced only when a tracer is attached
-			numPairs, maxReadLen, r.BTEnable, r.InputAddr, r.OutputAddr)
+		m.traceJobStart(numPairs, maxReadLen, r.BTEnable, r.InputAddr, r.OutputAddr)
 	}
 
 	m.running = true
@@ -248,19 +243,19 @@ func (m *Machine) startJob() {
 	m.collector.Configure(numPairs, r.BTEnable, m.onResult)
 }
 
-// onPairDispatch observes each pair handoff for tracing; it is installed on
-// the extractor once, at construction.
+// onPairDispatch traces each pair handoff; it is installed on the extractor
+// once, at construction.
+//
+//vet:coldpath
 func (m *Machine) onPairDispatch(id uint32, reading int64, unsupported bool, aligner int) {
 	if m.tracer != nil {
-		m.trace("extractor", "pair-start", "id=%d reading=%d unsupported=%v -> aligner%d", //vet:allow hotalloc traced only when a tracer is attached
-			id, reading, unsupported, aligner)
+		m.trace("extractor", "pair-start", "id=%d reading=%d unsupported=%v -> aligner%d", id, reading, unsupported, aligner)
 	}
 }
 
 func (m *Machine) recordResult(id uint32, rec ScoreRecord, a *AlignerHW) {
 	if m.tracer != nil {
-		m.trace("collector", "pair-done", "id=%d success=%v score=%d align=%d cycles", //vet:allow hotalloc traced only when a tracer is attached
-			id, rec.Success, rec.Score, a.finishCycle-a.startCycle)
+		m.tracePairDone(id, rec.Success, rec.Score, a.finishCycle-a.startCycle)
 	}
 	m.Timings = append(m.Timings, PairTiming{
 		ID:            id,
@@ -318,8 +313,7 @@ func (m *Machine) Tick() {
 	}
 	if m.jobDone() {
 		if m.tracer != nil {
-			m.trace("machine", "job-done", "cycles=%d transactions=%d", //vet:allow hotalloc traced only when a tracer is attached
-				cycle-m.jobStart, m.collector.Transactions)
+			m.traceJobDone(cycle-m.jobStart, m.collector.Transactions)
 		}
 		m.running = false
 		m.Regs.idle = true
@@ -350,8 +344,7 @@ func (m *Machine) requestAbort(code uint32, addr uint64) {
 // a rejected configuration does).
 func (m *Machine) abortJob(cycle int64) {
 	if m.tracer != nil {
-		m.trace("machine", "job-abort", "code=%d addr=%#x cycles=%d", //vet:allow hotalloc traced only when a tracer is attached
-			m.abortCode, m.abortAddr, cycle-m.jobStart)
+		m.traceJobAbort(m.abortCode, m.abortAddr, cycle-m.jobStart)
 	}
 	m.perfAborts++
 	m.scrub()
@@ -391,7 +384,7 @@ func (m *Machine) scrub() {
 // re-Start without reprogramming addresses.
 func (m *Machine) softReset() {
 	if m.tracer != nil {
-		m.trace("machine", "soft-reset", "running=%v", m.running) //vet:allow hotalloc traced only when a tracer is attached
+		m.traceSoftReset(m.running)
 	}
 	m.perfSoftResets++
 	m.scrub()
@@ -418,7 +411,7 @@ func (m *Machine) softReset() {
 func (m *Machine) dmaRead(cycle int64) {
 	if f, ok := m.rdPort.TakeFault(); ok {
 		if m.tracer != nil {
-			m.trace("machine", "axi-error", "rd addr=%#x cycle=%d", f.Addr, cycle) //vet:allow hotalloc traced only when a tracer is attached
+			m.traceAXIError("rd", f.Addr, cycle)
 		}
 		m.requestAbort(ErrCodeAXIRead, uint64(f.Addr))
 		return
@@ -459,7 +452,7 @@ func (m *Machine) dmaRead(cycle int64) {
 func (m *Machine) dmaWrite(cycle int64) {
 	if f, ok := m.wrPort.TakeFault(); ok {
 		if m.tracer != nil {
-			m.trace("machine", "axi-error", "wr addr=%#x cycle=%d", f.Addr, cycle) //vet:allow hotalloc traced only when a tracer is attached
+			m.traceAXIError("wr", f.Addr, cycle)
 		}
 		m.requestAbort(ErrCodeAXIWrite, uint64(f.Addr))
 		return
@@ -470,7 +463,7 @@ func (m *Machine) dmaWrite(cycle int64) {
 	if beat, ok := m.outFIFO.Pop(); ok {
 		if m.inj.DropOutputBeat(cycle) {
 			if m.tracer != nil {
-				m.trace("machine", "out-drop", "cycle=%d", cycle) //vet:allow hotalloc traced only when a tracer is attached
+				m.traceOutDrop(cycle)
 			}
 		} else {
 			m.inj.CorruptOutputBeat(cycle, beat[:])

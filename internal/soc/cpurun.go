@@ -2,6 +2,7 @@ package soc
 
 import (
 	"repro/internal/align"
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/mem"
 	"repro/internal/seqio"
@@ -92,8 +93,9 @@ func (s *SoC) RunCPU(set *seqio.InputSet, mode CPUMode, withBacktrace bool) (*CP
 // EstimateBTOutputBytes predicts the exact backtrace-region footprint of a
 // set (used to size main memory before a backtrace-enabled run). It runs the
 // score-only software WFA per pair and sizes each stream from its score with
-// core.Config.BTStreamTransactions.
+// one reused core.BTLayout.
 func (s *SoC) EstimateBTOutputBytes(set *seqio.InputSet) (int, error) {
+	var layout core.BTLayout
 	total := 0
 	for _, p := range set.Pairs {
 		res, _, err := wfa.Align(p.A, p.B, s.Cfg.Penalties, wfa.Options{MaxK: s.Cfg.KMax})
@@ -105,7 +107,7 @@ func (s *SoC) EstimateBTOutputBytes(set *seqio.InputSet) (int, error) {
 			continue
 		}
 		// The payload transactions, then the score record.
-		total += (s.Cfg.BTStreamTransactions(len(p.A), len(p.B), res.Score) + 1) * mem.BeatBytes
+		total += (layout.Fill(s.Cfg, len(p.A), len(p.B), res.Score) + 1) * mem.BeatBytes
 	}
 	return total, nil
 }

@@ -1,9 +1,6 @@
 package soc
 
-import (
-	"repro/internal/core"
-	"repro/internal/cpumodel"
-)
+import "repro/internal/core"
 
 // NewFleet builds a core.Fleet of n machines and wraps each member in a
 // full SoC (driver, CPU cost model, private memory), so batch simulators —
@@ -19,14 +16,7 @@ func NewFleet(cfg core.Config, n, memBytes int) (*core.Fleet, []*SoC, error) {
 	socs := make([]*SoC, fleet.Size())
 	for w := range socs {
 		mb := fleet.Member(w)
-		socs[w] = &SoC{
-			Cfg:     cfg,
-			Memory:  mb.Memory,
-			Machine: mb.Machine,
-			Driver:  NewDriver(mb.Machine),
-			Costs:   cpumodel.DefaultCosts(),
-			sw:      NewSoftwareAligner(cfg),
-		}
+		socs[w] = newSoC(cfg, mb.Machine, mb.Memory)
 	}
 	return fleet, socs, nil
 }

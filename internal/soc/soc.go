@@ -28,6 +28,10 @@ type SoC struct {
 	// sw is the software WFA behind the resilient fallback and the shadow
 	// oracle, reused across pairs and runs.
 	sw *SoftwareAligner
+	// dec and btPairs are the CPU backtrace decoder and its ID->pair map,
+	// reused across batches.
+	dec     *bt.Decoder
+	btPairs map[uint32]seqio.Pair
 }
 
 // inputBase leaves the bottom of memory for the "OS" (flavor only).
@@ -39,6 +43,11 @@ func New(cfg core.Config, memBytes int) (*SoC, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSoC(cfg, m, memory), nil
+}
+
+// newSoC wraps a machine and its main memory in a SoC.
+func newSoC(cfg core.Config, m *core.Machine, memory *mem.Memory) *SoC {
 	return &SoC{
 		Cfg:     cfg,
 		Memory:  memory,
@@ -46,7 +55,9 @@ func New(cfg core.Config, memBytes int) (*SoC, error) {
 		Driver:  NewDriver(m),
 		Costs:   cpumodel.DefaultCosts(),
 		sw:      NewSoftwareAligner(cfg),
-	}, nil
+		dec:     bt.NewDecoder(cfg),
+		btPairs: map[uint32]seqio.Pair{},
+	}
 }
 
 // PairOutcome is one alignment's final, CPU-visible result.
@@ -189,11 +200,11 @@ func (s *SoC) RunAccelerated(set *seqio.InputSet, opts RunOptions) (*Report, err
 // too.
 func (s *SoC) decodeBacktrace(set *seqio.InputSet, raw []byte, count int, forceSeparate bool) ([]bt.Alignment, bt.Stats, int64, error) {
 	separate := forceSeparate || s.Cfg.NumAligners > 1
-	pairs := make(map[uint32]seqio.Pair, len(set.Pairs))
 	for _, p := range set.Pairs {
-		pairs[p.ID&core.BTIDMask] = p
+		s.btPairs[p.ID&core.BTIDMask] = p
 	}
-	alignments, st, err := bt.NewDecoder(s.Cfg).DecodeRegion(raw, count, pairs, separate)
+	alignments, st, err := s.dec.DecodeRegion(raw, count, s.btPairs, separate)
+	clear(s.btPairs) // hold no sequences past the batch
 	if err != nil {
 		return nil, st, 0, err
 	}

@@ -190,15 +190,14 @@ func TestZeroFromAfterJob(t *testing.T) {
 // end to end: a SoC with serve's 8 MiB device memory plus one 64-pair 100 bp
 // resilient batch allocates a fraction of that memory, because only the
 // bytes the batch writes are ever backed. The batch writes 20 KiB
-// score-only and 77 KiB with backtrace; the backtrace bound is higher
-// because the rest of the backtrace path allocates about 1.1 MiB more than
-// score-only (0.73 MiB of it in the CPU-side decode), none of it device
-// memory.
+// score-only and 77 KiB with backtrace. Both cases measure well under the
+// bound (about 0.23 MB score-only and 0.78 MB with backtrace, whose CPU-side
+// decode reuses the SoC's decoder and allocates little beyond the CIGARs).
 func TestDeviceMemoryCostsWhatABatchWrites(t *testing.T) {
 	for _, c := range []struct {
 		backtrace bool
 		limit     uint64
-	}{{false, 1 << 20}, {true, 2 << 20}} {
+	}{{false, 1 << 20}, {true, 1 << 20}} {
 		set := testSet(64, 100, 0.05)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -85,7 +85,7 @@ echo "== hostbench module (go vet + go test) =="
 (cd hostbench && go vet . && go test .)
 
 echo "== hot-path benchmarks (100 iterations each) =="
-go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign|MachineAlign' -benchtime 100x .
+go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign|MachineAlign|BTDecode' -benchtime 100x .
 
 echo "== three-way aligner differential (fuzz, 30 s) =="
 go test -run '^$' -fuzz '^FuzzAlignersAgree$' -fuzztime 30s ./internal/soc/
