@@ -306,24 +306,19 @@ func BenchmarkBTDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkExtendUnit measures the hardware Extend comparator (16 bases per
-// block, Figure 7).
+// BenchmarkExtendUnit measures the shared Extend comparator both tiers call
+// (16 packed bases per block, Figure 7) on one 10 kbp maximal extension.
 func BenchmarkExtendUnit(b *testing.B) {
 	b.ReportAllocs()
 	g := seqgen.New(3, 3)
 	seq := g.RandomSequence(10000)
-	ramA, err := core.LoadSeqRAM(0, seq)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ramB, err := core.LoadSeqRAM(0, seq) // identical: maximal extension
+	words, err := seqio.PackSequence(seq) // compared with itself: maximal extension
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(seq)))
 	for i := 0; i < b.N; i++ {
-		res := core.ExtendDiag(ramA, ramB, 0, 0)
-		if res.Matches != len(seq) {
+		if wfa.Extend(words, words, len(seq), len(seq), 0, 0) != len(seq) {
 			b.Fatal("extension did not reach the end")
 		}
 	}

@@ -198,13 +198,13 @@ func (a *AlignerHW) Start(id uint32, seqA, seqB *SeqRAM, unsupported, btEnabled 
 
 	// Score 0: the initial cell M~(0,0) = 0, extended.
 	m0 := a.pool.Acquire(0, 0)
-	ext := ExtendDiag(seqA, seqB, 0, 0)
-	m0.Set(0, int32(ext.Matches))
+	matches, blocks := extendCell(seqA, seqB, 0, 0)
+	m0.Set(0, int32(matches))
 	a.Stats.CellsExtended++
-	a.Stats.ExtendBlocks += int64(ext.Blocks)
-	a.Stats.ExtendCycles += int64(a.cfg.Timing.ExtendFill + ext.Blocks)
+	a.Stats.ExtendBlocks += int64(blocks)
+	a.Stats.ExtendCycles += int64(a.cfg.Timing.ExtendFill + blocks)
 	a.ring.Put(0, nil, nil, m0)
-	a.busy = int64(a.cfg.Timing.StartupCycles + a.cfg.Timing.ExtendFill + ext.Blocks)
+	a.busy = int64(a.cfg.Timing.StartupCycles + a.cfg.Timing.ExtendFill + blocks)
 	if wfa.Done(m0, n, m) {
 		a.success = true
 		a.finalK = m - n
@@ -346,13 +346,11 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 
 				if v := mwf.At(k); wfa.ValidOffset(v) {
 					i := int(v) - k
 					j := int(v)
-					ext := ExtendDiag(a.seqA, a.seqB, i, j)
-					mwf.Set(k, v+int32(ext.Matches))
+					matches, blocks := extendCell(a.seqA, a.seqB, i, j)
+					mwf.Set(k, v+int32(matches))
 					a.Stats.CellsExtended++
-					a.Stats.ExtendBlocks += int64(ext.Blocks)
-					if ext.Blocks > maxBlocks {
-						maxBlocks = ext.Blocks
-					}
+					a.Stats.ExtendBlocks += int64(blocks)
+					maxBlocks = max(maxBlocks, blocks)
 				}
 				org = a.row[k-mR.Lo] & wfa.OriginMask
 			}

@@ -211,6 +211,10 @@ func TestBankingMacroCount(t *testing.T) {
 	}
 }
 
+// TestExtendDiagMatchesByteCompare checks the Extend sub-module as the
+// Aligner runs it, the shared wfa.Extend over two loaded Input_Seq RAMs,
+// against a plain byte comparison from random cells: the match count, and
+// one comparator block per 16 matches plus the block that ended the run.
 func TestExtendDiagMatchesByteCompare(t *testing.T) {
 	r := rand.New(rand.NewPCG(21, 22))
 	randSeq := func(n int) []byte {
@@ -220,6 +224,7 @@ func TestExtendDiagMatchesByteCompare(t *testing.T) {
 		}
 		return s
 	}
+	var ra, rb SeqRAM
 	for trial := 0; trial < 300; trial++ {
 		la, lb := 1+r.IntN(200), 1+r.IntN(200)
 		a := randSeq(la)
@@ -230,44 +235,52 @@ func TestExtendDiagMatchesByteCompare(t *testing.T) {
 			copy(a[r.IntN(la):], run)
 			copy(b[r.IntN(lb):], run)
 		}
-		ra, err := LoadSeqRAM(0, a)
-		if err != nil {
+		if err := LoadSeqRAMInto(&ra, 0, a); err != nil {
 			t.Fatal(err)
 		}
-		rb, err := LoadSeqRAM(0, b)
-		if err != nil {
+		if err := LoadSeqRAMInto(&rb, 0, b); err != nil {
 			t.Fatal(err)
 		}
 		i, j := r.IntN(la+1), r.IntN(lb+1)
-		got := ExtendDiag(ra, rb, i, j)
+		matches, blocks := extendCell(&ra, &rb, i, j)
 		want := 0
 		for i+want < la && j+want < lb && a[i+want] == b[j+want] {
 			want++
 		}
-		if got.Matches != want {
-			t.Fatalf("ExtendDiag(i=%d,j=%d): matches=%d want %d", i, j, got.Matches, want)
+		if matches != want {
+			t.Fatalf("extend(i=%d,j=%d): matches=%d want %d", i, j, matches, want)
 		}
-		if got.Blocks < 1 || got.Blocks < (want+15)/16 {
-			t.Fatalf("blocks=%d for %d matches", got.Blocks, want)
+		if blocks != want/16+1 {
+			t.Fatalf("blocks=%d for %d matches, want %d", blocks, want, want/16+1)
 		}
 	}
 }
 
+// TestWindow16 checks the 16-base window the shared extend assembles from
+// two consecutive RAM words (REG_1/REG_2, Figure 7) at every start position
+// of a two-word read: a mismatch planted at any of the window's 16 bases
+// ends the run exactly there, and a read compared with itself runs to its
+// end.
 func TestWindow16(t *testing.T) {
-	seq := []byte("ACGTACGTACGTACGTACGTACGTACGTACGT") // 32 bases
-	ram, err := LoadSeqRAM(0, seq)
-	if err != nil {
+	seq := []byte("ACGTTGCAAGCTTCGAGATCCTAGGCATTACG") // 32 bases
+	var ram, mut SeqRAM
+	if err := LoadSeqRAMInto(&ram, 0, seq); err != nil {
 		t.Fatal(err)
 	}
-	for pos := 0; pos < 20; pos++ {
-		w := ram.Window16(pos)
-		take := 16
-		if pos+take > len(seq) {
-			take = len(seq) - pos
+	for pos := 0; pos <= len(seq); pos++ {
+		if got, _ := extendCell(&ram, &ram, pos, pos); got != len(seq)-pos {
+			t.Fatalf("self-extend from %d = %d, want %d", pos, got, len(seq)-pos)
 		}
-		got := seqio.UnpackWord(w, take)
-		if string(got) != string(seq[pos:pos+take]) {
-			t.Fatalf("Window16(%d) = %s want %s", pos, got, seq[pos:pos+take])
+		for off := 0; off < 16 && pos+off < len(seq); off++ {
+			b := append([]byte(nil), seq...)
+			code, _ := seqio.Code2Bit(b[pos+off])
+			b[pos+off] = seqio.Base2Bit(code + 1)
+			if err := LoadSeqRAMInto(&mut, 0, b); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := extendCell(&ram, &mut, pos, pos); got != off {
+				t.Fatalf("extend from %d with a mismatch at %d = %d, want %d", pos, pos+off, got, off)
+			}
 		}
 	}
 }

@@ -44,8 +44,8 @@ var ErrUnsupportedBase = errors.New("seqio: unsupported base")
 const noCode = 0xFF
 
 // baseCodes is the Extractor's direct base map (Section 4.2) as a lookup
-// table: the 2-bit code of every accepted byte, upper- or lowercase, and
-// noCode for everything else. It is built once at initialization and only
+// table: the 2-bit code of each Alphabet byte and noCode for everything
+// else, lowercase included. It is built once at initialization and only
 // read afterwards.
 var baseCodes = func() (t [256]uint8) {
 	for i := range t {
@@ -53,13 +53,12 @@ var baseCodes = func() (t [256]uint8) {
 	}
 	for code, b := range Alphabet {
 		t[b] = uint8(code)
-		t[b|0x20] = uint8(code) // lowercase
 	}
 	return t
 }()
 
 // Code2Bit returns the 2-bit code of a base byte: A=0, C=1, G=2, T=3.
-// Lowercase input is accepted. Any other byte (including 'N') is an error.
+// Any other byte (lowercase and 'N' included) is an error.
 func Code2Bit(b byte) (uint8, error) {
 	if code := baseCodes[b]; code != noCode {
 		return code, nil

@@ -112,6 +112,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"empty-read", "demo", []seqio.Pair{{ID: 1, A: nil, B: []byte("ACGT")}}},
 		{"over-cap", "demo", []seqio.Pair{{ID: 1, A: make([]byte, 20001), B: []byte("ACGT")}}},
 		{"bad-base", "demo", []seqio.Pair{{ID: 1, A: []byte("ACGX"), B: []byte("ACGT")}}},
+		{"lowercase-base", "demo", []seqio.Pair{{ID: 1, A: []byte("ACGT"), B: []byte("acgt")}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,12 +1,9 @@
-// Package sim provides the clocked hardware primitives the accelerator model
-// is built from: show-ahead FIFOs, dual-port RAM models, and the two ASIC
-// memory wrappers of Section 4.6 (a show-ahead FIFO implemented over a
-// register file, and a single-port memory macro presented as a dual-port
-// RAM).
+// Package sim provides the clocked show-ahead FIFO the accelerator model's
+// queues are built from.
 //
-// All primitives follow a two-phase update discipline: writes performed
-// during a cycle become visible only after Tick(), which removes ordering
-// artifacts between components updated in the same simulated cycle.
+// It follows a two-phase update discipline: writes performed during a cycle
+// become visible only after Tick(), which removes ordering artifacts between
+// components updated in the same simulated cycle.
 package sim
 
 import "repro/internal/invariant"

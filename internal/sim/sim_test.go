@@ -113,141 +113,3 @@ func TestFIFOResetAndStats(t *testing.T) {
 		t.Fatalf("Depth=%d", f.Depth())
 	}
 }
-
-func TestDualPortRAM(t *testing.T) {
-	r := NewDualPortRAM(8)
-	r.Write(3, 0xBEEF)
-	r.Tick()
-	r.Read(3)
-	if _, ok := r.Data(); ok {
-		t.Fatal("read data valid before Tick")
-	}
-	r.Tick()
-	if v, ok := r.Data(); !ok || v != 0xBEEF {
-		t.Fatalf("Data=%x,%v", v, ok)
-	}
-	// Same-cycle write+read of the same address: write-before-read.
-	r.Write(4, 0xAA)
-	r.Read(4)
-	r.Tick()
-	if v, _ := r.Data(); v != 0xAA {
-		t.Fatalf("write-before-read broken: %x", v)
-	}
-}
-
-func TestSinglePortRAMConflictPanics(t *testing.T) {
-	r := NewSinglePortRAM(4)
-	r.Read(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double access did not panic")
-		}
-	}()
-	r.Write(1, 2)
-}
-
-func TestRegFileFIFOMatchesFIFO(t *testing.T) {
-	// The Section 4.6 wrapper must be observationally identical to the
-	// FPGA-prototype show-ahead FIFO.
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 9))
-		ref := NewFIFO[uint64](16)
-		dut := NewRegFileFIFO(16)
-		next := uint64(1)
-		for step := 0; step < 400; step++ {
-			doPush := r.IntN(2) == 0
-			doPop := r.IntN(2) == 0
-			if doPush {
-				okRef := ref.Push(next)
-				okDut := dut.Push(next)
-				if okRef != okDut {
-					return false
-				}
-				if okRef {
-					next++
-				}
-			}
-			if doPop {
-				vRef, okRef := ref.Pop()
-				vDut, okDut := dut.Pop()
-				if okRef != okDut || vRef != vDut {
-					return false
-				}
-			}
-			ref.Tick()
-			dut.Tick()
-			if ref.Empty() != dut.Empty() || ref.Full() != dut.Full() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSPAsDPBehavesLikeDualPort(t *testing.T) {
-	// Random traffic: when read and write collide, the wrapper serializes
-	// but must still return the correct data.
-	r := rand.New(rand.NewPCG(12, 13))
-	dut := NewSPAsDP(32)
-	model := make([]uint64, 32)
-	type exp struct{ val uint64 }
-	var expect []exp
-	for step := 0; step < 1000; step++ {
-		if !dut.Ready() {
-			dut.Tick()
-			if v, ok := dut.Data(); ok {
-				if len(expect) == 0 || v != expect[0].val {
-					t.Fatalf("step %d: deferred read returned %d", step, v)
-				}
-				expect = expect[1:]
-			}
-			continue
-		}
-		doRead := r.IntN(2) == 0
-		doWrite := r.IntN(2) == 0
-		var raddr int
-		if doWrite {
-			addr := r.IntN(32)
-			val := r.Uint64() % 1000
-			dut.Write(addr, val)
-			model[addr] = val
-		}
-		if doRead {
-			raddr = r.IntN(32)
-			dut.Read(raddr)
-			// Write-first semantics: the serialized wrapper commits the
-			// write before the read, so the read sees the new value.
-			expect = append(expect, exp{model[raddr]})
-		}
-		dut.Tick()
-		if v, ok := dut.Data(); ok {
-			if len(expect) == 0 {
-				t.Fatalf("step %d: unexpected read data %d", step, v)
-			}
-			if v != expect[0].val {
-				t.Fatalf("step %d: read %d want %d", step, v, expect[0].val)
-			}
-			expect = expect[1:]
-		}
-	}
-}
-
-func TestSPAsDPSerializationCount(t *testing.T) {
-	dut := NewSPAsDP(4)
-	dut.Write(0, 7)
-	dut.Read(0)
-	dut.Tick() // write committed, read deferred
-	if dut.Ready() {
-		t.Fatal("wrapper ready while read deferred")
-	}
-	dut.Tick() // deferred read completes
-	if v, ok := dut.Data(); !ok || v != 7 {
-		t.Fatalf("Data=%d,%v", v, ok)
-	}
-	if dut.Serialized != 1 {
-		t.Fatalf("Serialized=%d", dut.Serialized)
-	}
-}

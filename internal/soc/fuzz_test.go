@@ -144,13 +144,14 @@ func FuzzJobConfig(f *testing.F) {
 // against the independent SWG oracle: the software tier (SoftwareAligner),
 // the simulated accelerator (RunAccelerated, score-only and with backtrace)
 // and swg.Score must agree on every pair. The bytes of a and b map to bases
-// (A, C, G, T and N stay, any other byte becomes one of ACGT), x, o and e map
-// into valid penalties (1..8, 0..10 and 1..5; in-range values map to
-// themselves), and chipKMax picks k_max from {20, the chip's 3998}. The
-// boundary seeds sit on Equation 6's bound under k_max = 20, where a
-// software bound differing from the hardware's shows up as a Success split;
-// the gap-open-0, indel-run and empty-read seeds drive both backtrace walks
-// through gap chains that start or end at a read boundary.
+// (A, C, G, T, N and their lowercase forms stay, any other byte becomes one
+// of ACGT), x, o and e map into valid penalties (1..8, 0..10 and 1..5;
+// in-range values map to themselves), and chipKMax picks k_max from {20, the
+// chip's 3998}. The boundary seeds sit on Equation 6's bound under k_max =
+// 20, where a software bound differing from the hardware's shows up as a
+// Success split; the gap-open-0, indel-run and empty-read seeds drive both
+// backtrace walks through gap chains that start or end at a read boundary;
+// the lowercase seed is unsupported in both tiers alike.
 func FuzzAlignersAgree(f *testing.F) {
 	const readCap = 512
 	read := seqgen.New(3, 4).RandomSequence(100)
@@ -179,12 +180,13 @@ func FuzzAlignersAgree(f *testing.F) {
 	f.Add(read, append([]byte("GGTTGG"), read...), uint8(4), uint8(6), uint8(2), true)                 // leading insertion run
 	f.Add(append(append([]byte(nil), read...), "CCAACC"...), read, uint8(4), uint8(6), uint8(2), true) // trailing deletion run
 	f.Add([]byte{}, []byte("ACGTACGT"), uint8(4), uint8(6), uint8(2), true)                            // empty read against a non-empty one
+	f.Add([]byte("acgtacgt"), []byte("ACGTTCGT"), uint8(4), uint8(6), uint8(2), true)                  // lowercase bases
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, xb, ob, eb uint8, chipKMax bool) {
 		bases := func(raw []byte) []byte {
 			out := make([]byte, len(raw))
 			for i, c := range raw {
 				switch c {
-				case seqio.BaseA, seqio.BaseC, seqio.BaseG, seqio.BaseT, seqio.BaseN:
+				case 'A', 'C', 'G', 'T', 'N', 'a', 'c', 'g', 't', 'n':
 				default:
 					c = seqio.Alphabet[c&3]
 				}

@@ -189,13 +189,13 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 	if opts.Backtrace {
 		idMask = core.BTIDMask
 	}
-	byID := make(map[uint32]int, len(set.Pairs))
+	defer clear(s.byID)
 	for i, p := range set.Pairs {
-		if prev, dup := byID[p.ID&idMask]; dup {
+		if prev, dup := s.byID[p.ID&idMask]; dup {
 			return nil, fmt.Errorf("soc: pair IDs %d and %d collide in the result stream's truncated ID field (mask %#x)",
 				set.Pairs[prev].ID, p.ID, idMask)
 		}
-		byID[p.ID&idMask] = i
+		s.byID[p.ID&idMask] = i
 	}
 
 	rep := &ResilientReport{Outcomes: make([]PairOutcome, len(set.Pairs))}
@@ -251,7 +251,7 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 			// Kill stale bytes from earlier attempts so a truncated stream
 			// reads as padding, never as a previous attempt's records.
 			s.zeroFrom(int64(outputAddr))
-			ok, fatal := s.runAttempt(ctx, set, job, opts, v, byID, sw, accepted, &acceptedCount, rep)
+			ok, fatal := s.runAttempt(ctx, set, job, opts, v, sw, accepted, &acceptedCount, rep)
 			if fatal != nil {
 				if errors.Is(fatal, ErrDeadline) {
 					// Job abort: the machine is mid-job; soft-reset so the
@@ -329,7 +329,7 @@ func (s *SoC) RunResilientCtx(ctx context.Context, set *seqio.InputSet, opts Res
 // fatal is a driver-level error that should abort RunResilient itself
 // (including a context expiry, which surfaces as ErrDeadline).
 func (s *SoC) runAttempt(ctx context.Context, set *seqio.InputSet, job JobConfig, opts ResilientOptions,
-	v verifier, byID map[uint32]int, sw []swResult,
+	v verifier, sw []swResult,
 	accepted []bool, acceptedCount *int, rep *ResilientReport) (ok bool, fatal error) {
 
 	if err := s.Driver.Configure(job); err != nil {
@@ -419,13 +419,13 @@ func (s *SoC) runAttempt(ctx context.Context, set *seqio.InputSet, job JobConfig
 		}
 	}
 
-	candidates, decodeOK := s.parseOutput(set, raw, count, opts, byID, rep)
-	if !decodeOK {
+	defer clear(s.candidates) // hold no results past the attempt
+	if !s.parseOutput(set, raw, count, opts, rep) {
 		rep.DecodeFailures++
 		return true, nil
 	}
-	for id, cand := range candidates {
-		i := byID[id]
+	for id, cand := range s.candidates {
+		i := s.byID[id]
 		if accepted[i] {
 			// An earlier attempt already delivered this pair; keep it.
 			continue
@@ -449,24 +449,17 @@ type candidate struct {
 }
 
 // parseOutput decodes the raw output region of a completed attempt (read
-// back by runAttempt, which also CRC-gates it) into per-pair candidates.
-// decodeOK=false means the stream as a whole was unusable. Decoder panics on
-// corrupt streams are converted to decode failures.
+// back by runAttempt, which also CRC-gates it) into per-pair candidates in
+// s.candidates, keyed by the result-stream IDs of s.byID. decodeOK=false
+// means the stream as a whole was unusable. Decoder panics on corrupt
+// streams are converted to decode failures.
 func (s *SoC) parseOutput(set *seqio.InputSet, raw []byte, count int, opts ResilientOptions,
-	byID map[uint32]int, rep *ResilientReport) (out map[uint32]candidate, decodeOK bool) {
+	rep *ResilientReport) (decodeOK bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, decodeOK = nil, false
+			decodeOK = false
 		}
 	}()
-	candidates := map[uint32]candidate{}
-	add := func(id uint32, res align.Result) {
-		if _, dup := candidates[id]; dup {
-			candidates[id] = candidate{valid: false}
-			return
-		}
-		candidates[id] = candidate{out: PairOutcome{ID: set.Pairs[byID[id]].ID, Result: res}, valid: true}
-	}
 
 	if !opts.Backtrace {
 		// Scan every record slot: with dropped beats the stream shifts, so
@@ -477,26 +470,36 @@ func (s *SoC) parseOutput(set *seqio.InputSet, raw []byte, count int, opts Resil
 			if err != nil {
 				continue
 			}
-			if _, known := byID[uint32(rec.ID)]; !known {
-				continue
-			}
-			add(uint32(rec.ID), align.Result{Score: int(rec.Score), Success: rec.Success})
+			s.addCandidate(set, uint32(rec.ID), align.Result{Score: int(rec.Score), Success: rec.Success})
 		}
-		return candidates, true
+		return true
 	}
 
 	alignments, _, btCycles, err := s.decodeBacktrace(set, raw, count, false)
 	if err != nil {
-		return nil, false
+		return false
 	}
 	rep.CPUBacktraceCycles += btCycles
 	for _, al := range alignments {
-		if _, known := byID[al.ID&core.BTIDMask]; !known {
-			continue
-		}
-		add(al.ID&core.BTIDMask, al.Result)
+		s.addCandidate(set, al.ID&core.BTIDMask, al.Result)
 	}
-	return candidates, true
+	return true
+}
+
+// addCandidate records the decoded result of stream ID id. An ID the batch
+// does not hold is padding or corruption and is skipped; a second result
+// for one ID invalidates it, since two records claiming one ID mean the
+// stream is corrupt.
+func (s *SoC) addCandidate(set *seqio.InputSet, id uint32, res align.Result) {
+	i, known := s.byID[id]
+	if !known {
+		return
+	}
+	if _, dup := s.candidates[id]; dup {
+		s.candidates[id] = candidate{valid: false}
+		return
+	}
+	s.candidates[id] = candidate{out: PairOutcome{ID: set.Pairs[i].ID, Result: res}, valid: true}
 }
 
 // validateOutcome is the per-pair acceptance gate. Under ModeOff it applies

@@ -32,6 +32,11 @@ type SoC struct {
 	// reused across batches.
 	dec     *bt.Decoder
 	btPairs map[uint32]seqio.Pair
+	// byID maps a resilient batch's result-stream IDs to pair indices, and
+	// candidates holds one attempt's decoded results. Both are refilled per
+	// batch (per attempt) and cleared after it, so nothing outlives it.
+	byID       map[uint32]int
+	candidates map[uint32]candidate
 }
 
 // inputBase leaves the bottom of memory for the "OS" (flavor only).
@@ -49,14 +54,16 @@ func New(cfg core.Config, memBytes int) (*SoC, error) {
 // newSoC wraps a machine and its main memory in a SoC.
 func newSoC(cfg core.Config, m *core.Machine, memory *mem.Memory) *SoC {
 	return &SoC{
-		Cfg:     cfg,
-		Memory:  memory,
-		Machine: m,
-		Driver:  NewDriver(m),
-		Costs:   cpumodel.DefaultCosts(),
-		sw:      NewSoftwareAligner(cfg),
-		dec:     bt.NewDecoder(cfg),
-		btPairs: map[uint32]seqio.Pair{},
+		Cfg:        cfg,
+		Memory:     memory,
+		Machine:    m,
+		Driver:     NewDriver(m),
+		Costs:      cpumodel.DefaultCosts(),
+		sw:         NewSoftwareAligner(cfg),
+		dec:        bt.NewDecoder(cfg),
+		btPairs:    map[uint32]seqio.Pair{},
+		byID:       map[uint32]int{},
+		candidates: map[uint32]candidate{},
 	}
 }
 

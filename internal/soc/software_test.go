@@ -40,7 +40,7 @@ func TestSoftwareAlignerMatchesOneShot(t *testing.T) {
 	for _, c := range []struct {
 		i    int
 		want bool
-	}{{0, true}, {5, true}, {7, false}, {9, false}, {11, false}, {12, false}} {
+	}{{0, true}, {5, true}, {7, false}, {9, false}, {11, false}, {12, false}, {15, false}} {
 		if res, _ := sa.Align(pairs[c.i], false); res.Success != c.want {
 			t.Errorf("pair %d: Success = %v, want %v", c.i, res.Success, c.want)
 		}
@@ -57,8 +57,8 @@ func edgeCaseConfig() core.Config {
 }
 
 // edgeCasePairs are the edge cases of the software semantics under cfg:
-// empty and one-base reads, reads at and one past the hardware cap, N bases,
-// pairs beyond k_max and past Equation 6's bound.
+// empty and one-base reads, reads at and one past the hardware cap, N and
+// lowercase bases, pairs beyond k_max and past Equation 6's bound.
 func edgeCasePairs(cfg core.Config) []seqio.Pair {
 	g := seqgen.New(3, 14)
 	rnd := func(n int) []byte { return g.RandomSequence(n) }
@@ -87,7 +87,7 @@ func edgeCasePairs(cfg core.Config) []seqio.Pair {
 // TestSoftwareCIGARDigest's 360 pairs. It pins the software tier's CIGARs
 // byte for byte: a change to the step kernel or the backtrace that moves any
 // of them must fail here.
-const softwareCIGARDigest = "bbe6eb034df21cd5c86c58130d3335cfa43913583eab3ede85708e15e32fd00d"
+const softwareCIGARDigest = "03db0ffb868611d97b4fe0cd740c4ba2b08f4d166746568a18235dfee5edda30"
 
 // TestSoftwareCIGARDigest hashes SoftwareAligner CIGAR-mode results over the
 // six seqgen paper sets (40/40/10/10/2/2 pairs, chip configuration) and the

@@ -1,6 +1,11 @@
 package wfa
 
-import "repro/internal/align"
+import (
+	"math/bits"
+
+	"repro/internal/align"
+	"repro/internal/seqio"
+)
 
 // Step is the Equation 3 recurrence for one score s (Figure 2; the Compute
 // sub-module of Section 4.3, Figure 7): it computes I~(s), D~(s) and M~(s)
@@ -87,6 +92,44 @@ func Step(pool *Pool, n, m int, iR, dR, mR Range, mx, moe, ie, de *Wavefront, ro
 		}
 	}
 	return iwf, dwf, mwf
+}
+
+// Extend is the extend() operator of Section 2.3 as the Extend sub-module
+// computes it (Section 4.3.2, Figure 7), shared by both tiers: from base i of
+// read a (n bases) and base j of read b (m bases), packed 16 bases per word
+// in seqio's 2-bit layout (aw, bw), it compares one 16-base block per
+// iteration until a mismatch or a read's end and returns the number of
+// matching bases. The run ended at a read's end exactly when i+matches == n
+// or j+matches == m. Each block is the REG_1/REG_2 concatenate-and-shift of
+// two consecutive words; the codes past the bases both reads still have are
+// forced to differ, so the first difference ends the run either way.
+func Extend(aw, bw []uint32, n, m, i, j int) int {
+	matches := 0
+	for {
+		limit := min(seqio.BasesPerWord, n-i, m-j)
+		if limit <= 0 {
+			return matches
+		}
+		// A shift by 32 (limit 16) forces nothing.
+		if x := window(aw, i) ^ window(bw, j) | ^uint32(0)<<uint(2*limit); x != 0 {
+			return matches + bits.TrailingZeros32(x)/2
+		}
+		matches += seqio.BasesPerWord
+		i += seqio.BasesPerWord
+		j += seqio.BasesPerWord
+	}
+}
+
+// window assembles the 16 bases starting at base pos of a packed read,
+// base pos in the least-significant code. Bases past the last word read
+// as code 0.
+func window(words []uint32, pos int) uint32 {
+	w, sh := uint(pos)/seqio.BasesPerWord, 2*(uint(pos)%seqio.BasesPerWord)
+	x := uint64(words[w])
+	if w+1 < uint(len(words)) {
+		x |= uint64(words[w+1]) << 32
+	}
+	return uint32(x >> sh)
 }
 
 // trim invalidates an offset on diagonal k that stepped outside the DP grid

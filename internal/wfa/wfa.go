@@ -2,8 +2,10 @@ package wfa
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/align"
+	"repro/internal/seqio"
 )
 
 // Options configures one WFA run.
@@ -65,9 +67,12 @@ type Aligner struct {
 	origins []uint8
 	rowBase []int
 
-	a, b  []byte
-	n, m  int
-	Stats Stats
+	// a and b are the pair's reads; aw and bw are them packed in seqio's
+	// 2-bit layout for Extend, refilled per pair into retained storage.
+	a, b   []byte
+	aw, bw []uint32
+	n, m   int
+	Stats  Stats
 }
 
 // New returns an Aligner for the penalty set. Invalid penalties — which can
@@ -113,11 +118,23 @@ func safeMaxScore(n, m int, p align.Penalties) int {
 }
 
 // Run aligns a (query) against b (text) and returns the result. Stats are
-// left in al.Stats.
+// left in al.Stats. A read outside the accelerator alphabet (seqio.Alphabet)
+// is unsupported, as on the accelerator (Section 4.2): the pair fails with
+// Success=false and zero Stats.
 func (al *Aligner) Run(a, b []byte) align.Result {
+	al.Stats = Stats{}
+	aw, err := seqio.PackSequenceInto(al.aw[:0], a)
+	if err != nil {
+		return align.Result{Success: false}
+	}
+	al.aw = aw
+	bw, err := seqio.PackSequenceInto(al.bw[:0], b)
+	if err != nil {
+		return align.Result{Success: false}
+	}
+	al.bw = bw
 	al.a, al.b = a, b
 	al.n, al.m = len(a), len(b)
-	al.Stats = Stats{}
 
 	maxScore := al.opts.MaxScore
 	if maxScore <= 0 {
@@ -214,16 +231,17 @@ func (al *Aligner) computeScore(s int) (iwf, dwf, mwf *Wavefront) {
 
 // originRow returns the next score's origin row, w cells: appended to the
 // log in CIGAR mode, replacing the previous row in score-only mode. The log
-// grows by append and is truncate-reset per pair, so its capacity amortizes
-// across pairs.
+// at least doubles whenever it grows, so a pair's log costs about one extra
+// log of copies, and it is truncate-reset per pair, so its capacity
+// amortizes across pairs.
 func (al *Aligner) originRow(w int) []uint8 {
 	start := 0
 	if al.opts.WithCIGAR {
 		start = len(al.origins)
 		al.rowBase = append(al.rowBase, start)
 	}
-	for cap(al.origins) < start+w {
-		al.origins = append(al.origins[:cap(al.origins)], 0)
+	if start+w > cap(al.origins) {
+		al.origins = slices.Grow(al.origins[:start], max(w, cap(al.origins)))
 	}
 	al.origins = al.origins[:start+w]
 	return al.origins[start:]
@@ -232,31 +250,23 @@ func (al *Aligner) originRow(w int) []uint8 {
 // extend advances every valid M~ cell along its diagonal while bases match
 // (the extend() operator of Section 2.3), counting comparator work.
 func (al *Aligner) extend(mwf *Wavefront) {
-	a, b := al.a, al.b
-	n, m := int32(al.n), int32(al.m)
 	for k := mwf.Lo; k <= mwf.Hi; k++ {
 		v := mwf.Off[k-mwf.Lo]
 		if !ValidOffset(v) {
 			continue
 		}
 		al.Stats.CellsExtended++
-		i := v - int32(k)
-		j := v
-		start := j
-		for i < n && j < m && a[i] == b[j] {
-			i++
-			j++
-		}
-		matched := j - start
+		i, j := int(v)-k, int(v)
+		matched := Extend(al.aw, al.bw, al.n, al.m, i, j)
 		compared := matched
-		if i < n && j < m {
+		if i+matched < al.n && j+matched < al.m {
 			compared++ // the failing comparison
 		}
 		al.Stats.BasesCompared += int64(compared)
 		// Hardware/vector comparator: 16 bases per block, at least one
 		// block per extended cell (Section 4.3.2).
 		al.Stats.Blocks16 += int64(compared/16) + 1
-		mwf.Off[k-mwf.Lo] = j
+		mwf.Off[k-mwf.Lo] = v + int32(matched)
 	}
 }
 

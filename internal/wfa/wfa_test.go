@@ -60,7 +60,6 @@ func TestKnownAlignments(t *testing.T) {
 		{"ACG", "", 12},      // pure deletion run
 		{"AAAA", "TTTT", 16}, // all mismatch
 		{"GATTACA", "GATCACA", 4},
-		{"GATTACA", "GCATGCU" /* U unsupported by hw, fine for sw */, 0},
 	}
 	for _, tc := range cases {
 		a, b := []byte(tc.a), []byte(tc.b)
@@ -69,13 +68,28 @@ func TestKnownAlignments(t *testing.T) {
 		if res.Score != ref.Score {
 			t.Errorf("a=%q b=%q: WFA=%d SWG=%d", tc.a, tc.b, res.Score, ref.Score)
 		}
-		if tc.a != "GATTACA" || tc.b != "GCATGCU" {
-			if res.Score != tc.score && tc.score != 0 {
-				t.Errorf("a=%q b=%q: got score %d want %d", tc.a, tc.b, res.Score, tc.score)
-			}
+		if res.Score != tc.score {
+			t.Errorf("a=%q b=%q: got score %d want %d", tc.a, tc.b, res.Score, tc.score)
 		}
 		if err := res.CIGAR.Validate(a, b); err != nil {
 			t.Errorf("a=%q b=%q: %v", tc.a, tc.b, err)
+		}
+	}
+	// A read outside the accelerator alphabet ('U', lowercase, 'N') is
+	// unsupported in the software tier as on the accelerator: the pair fails
+	// with zero Stats.
+	for _, b := range []string{"GCATGCU", "gattaca", "GATNACA"} {
+		for _, withCIGAR := range []bool{false, true} {
+			al, err := New(p, Options{WithCIGAR: withCIGAR})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := al.Run([]byte("GATTACA"), []byte(b)); res.Success || al.Stats != (Stats{}) {
+				t.Errorf("b=%q cigar=%v: %+v %+v, want an unsupported pair", b, withCIGAR, res, al.Stats)
+			}
+			if res := al.Run([]byte(b), []byte("GATTACA")); res.Success || al.Stats != (Stats{}) {
+				t.Errorf("a=%q cigar=%v: %+v %+v, want an unsupported pair", b, withCIGAR, res, al.Stats)
+			}
 		}
 	}
 }

@@ -21,8 +21,9 @@
 #                   repro => ../), so steps 2-6 never compile it: vet and
 #                   test it separately so an API change cannot break it
 #                   unnoticed
-#   8. hot-path benchmarks  the software-WFA micro-benchmarks and the
-#                   simulated accelerator run 100 iterations each, so they
+#   8. hot-path benchmarks  the software-WFA micro-benchmarks, the
+#                   simulated accelerator, the backtrace decoder and the
+#                   shared packed extend run 100 iterations each, so they
 #                   must execute, not just compile
 #   9. fuzz         FuzzAlignersAgree for 30 s: software WFA, the simulated
 #                   accelerator and the SWG oracle agree on fuzzed pairs
@@ -85,7 +86,7 @@ echo "== hostbench module (go vet + go test) =="
 (cd hostbench && go vet . && go test .)
 
 echo "== hot-path benchmarks (100 iterations each) =="
-go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign|MachineAlign|BTDecode' -benchtime 100x .
+go test -run '^$' -bench 'WFAScore|WFABacktrace|SoftwareAlign|MachineAlign|BTDecode|ExtendUnit' -benchtime 100x .
 
 echo "== three-way aligner differential (fuzz, 30 s) =="
 go test -run '^$' -fuzz '^FuzzAlignersAgree$' -fuzztime 30s ./internal/soc/
