@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/fault"
 	"repro/internal/invariant"
+	"repro/internal/sim"
 	"repro/internal/wfa"
 )
 
@@ -29,7 +32,7 @@ const (
 type obEntry struct {
 	kind  obKind
 	id    uint32
-	block []byte      // obBlock: packed 5-bit origins, BTBlockBytes long
+	block []byte      // obBlock: packed 5-bit origins, BTBlockBytes long, in the Aligner's arena
 	res   ScoreRecord // obResult
 }
 
@@ -98,8 +101,12 @@ type AlignerHW struct {
 	success  bool
 	finalK   int
 
-	outbox []obEntry
-	obHead int // drained prefix of outbox (reset with the slice)
+	// outbox holds the Collector's pending output in stream order. Its
+	// blocks point into arena; the Collector copies each block out as it
+	// takes it, so an empty outbox means no block is live and the next
+	// block is packed at the start of the arena again.
+	outbox sim.Queue[obEntry]
+	arena  []byte
 
 	// inj is the machine-wide fault injector (nil-safe; set by
 	// Machine.AttachInjector).
@@ -154,8 +161,8 @@ func (a *AlignerHW) Reset() {
 	a.finished = false
 	a.success = false
 	a.finalK = 0
-	a.outbox = a.outbox[:0]
-	a.obHead = 0
+	a.outbox.Clear()
+	a.arena = a.arena[:0]
 }
 
 // BeginLoad transitions to Loading; the Extractor streams the pair in.
@@ -212,24 +219,13 @@ func (a *AlignerHW) Start(id uint32, seqA, seqB *SeqRAM, unsupported, btEnabled 
 	}
 }
 
-// TakeOutput pops the oldest outbox entry (Collector side). Draining
-// advances a head index rather than re-slicing, so the backing array is
-// truncate-reset — and its capacity reused — every time the outbox empties.
-func (a *AlignerHW) TakeOutput() (obEntry, bool) {
-	if a.obHead >= len(a.outbox) {
-		return obEntry{}, false
-	}
-	e := a.outbox[a.obHead]
-	a.obHead++
-	if a.obHead == len(a.outbox) {
-		a.outbox = a.outbox[:0]
-		a.obHead = 0
-	}
-	return e, true
-}
+// TakeOutput pops the oldest outbox entry (Collector side). A block entry
+// points into the Aligner's arena: the caller must copy it before the
+// Aligner ticks again.
+func (a *AlignerHW) TakeOutput() (obEntry, bool) { return a.outbox.Pop() }
 
 // HasOutput reports whether outbox entries are pending.
-func (a *AlignerHW) HasOutput() bool { return len(a.outbox) > a.obHead }
+func (a *AlignerHW) HasOutput() bool { return a.outbox.Len() > 0 }
 
 // Tick advances the Aligner one cycle.
 func (a *AlignerHW) Tick(cycle int64) {
@@ -256,7 +252,7 @@ func (a *AlignerHW) Tick(cycle int64) {
 		a.emitResult(cycle)
 		return
 	}
-	if len(a.outbox)-a.obHead >= outboxCap {
+	if a.outbox.Len() >= outboxCap {
 		a.Stats.StallCycles++
 		return
 	}
@@ -272,7 +268,7 @@ func (a *AlignerHW) emitResult(cycle int64) {
 	if !a.success && score > a.scoreMax {
 		score = a.scoreMax
 	}
-	a.outbox = append(a.outbox, obEntry{
+	a.outbox.Push(obEntry{
 		kind: obResult,
 		id:   a.pairID,
 		res: ScoreRecord{
@@ -336,25 +332,20 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 
 	a.Stats.ComputeCycles += int64(t.StepOverhead + t.ComputeLatency)
 	a.Stats.ExtendCycles += int64(t.ExtendFill)
 	for b := 0; b < batches; b++ {
+		// Only the batch's lanes inside M~(s) hold cells.
 		base := kStart + b*P
+		lo, hi := max(base, mR.Lo), min(base+P-1, mR.Hi)
 		maxBlocks := 0
-		origins := a.originsBuf[:0]
-		for c := 0; c < P; c++ {
-			k := base + c
-			var org uint8
-			if k >= mR.Lo && k <= mR.Hi {
-				if v := mwf.At(k); wfa.ValidOffset(v) {
-					i := int(v) - k
-					j := int(v)
-					matches, blocks := extendCell(a.seqA, a.seqB, i, j)
-					mwf.Set(k, v+int32(matches))
-					a.Stats.CellsExtended++
-					a.Stats.ExtendBlocks += int64(blocks)
-					maxBlocks = max(maxBlocks, blocks)
-				}
-				org = a.row[k-mR.Lo] & wfa.OriginMask
+		for k := lo; k <= hi; k++ {
+			if v := mwf.At(k); wfa.ValidOffset(v) {
+				i := int(v) - k
+				j := int(v)
+				matches, blocks := extendCell(a.seqA, a.seqB, i, j)
+				mwf.Set(k, v+int32(matches))
+				a.Stats.CellsExtended++
+				a.Stats.ExtendBlocks += int64(blocks)
+				maxBlocks = max(maxBlocks, blocks)
 			}
-			origins = append(origins, org)
 		}
 		cycles += int64(t.ComputeIssue + maxBlocks)
 		a.Stats.Batches++
@@ -372,12 +363,7 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 
 			a.Stats.BankConflicts++
 		}
 		if a.btEnabled {
-			a.outbox = append(a.outbox, obEntry{
-				kind:  obBlock,
-				id:    a.pairID,
-				block: PackOriginBlock(origins),
-			})
-			a.Stats.BTBlocks++
+			a.emitBlock(base, lo, hi, mR.Lo)
 		}
 	}
 
@@ -407,4 +393,29 @@ func (a *AlignerHW) executeStep(cycle int64, s int, iR, dR, mR wfa.Range) int64 
 		a.finished = true
 	}
 	return cycles
+}
+
+// emitBlock packs the origin block of the batch whose lanes start at
+// diagonal base into the arena and queues it for the Collector. Lanes
+// [lo, hi] carry their origin from the step's row, which starts at diagonal
+// rowLo; the other lanes hold no cell and stream zero.
+func (a *AlignerHW) emitBlock(base, lo, hi, rowLo int) {
+	origins := a.originsBuf
+	for c := range origins {
+		var org uint8
+		if k := base + c; k >= lo && k <= hi {
+			org = a.row[k-rowLo] & wfa.OriginMask
+		}
+		origins[c] = org
+	}
+	if a.outbox.Len() == 0 {
+		a.arena = a.arena[:0]
+	}
+	off := len(a.arena)
+	size := a.cfg.BTBlockBytes()
+	a.arena = slices.Grow(a.arena, size)[:off+size]
+	block := a.arena[off:]
+	PackOriginBlock(block, origins)
+	a.outbox.Push(obEntry{kind: obBlock, id: a.pairID, block: block})
+	a.Stats.BTBlocks++
 }

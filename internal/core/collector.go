@@ -20,11 +20,13 @@ type Collector struct {
 	aligners  []*AlignerHW
 	rr        int
 
-	// BT chunking state.
-	chunkID      uint32
-	chunkPayload []byte // pending payload bytes of the current block
-	padBuf       []byte // retained scratch for zero-padding block payloads
-	counters     map[uint32]uint32
+	// BT chunking state. chunk is the current origin block, copied out of
+	// the Aligner's arena when the Collector takes it and zero-padded to
+	// whole payload chunks; chunk[chunkOff:] is still to be emitted.
+	chunkID  uint32
+	chunk    []byte
+	chunkOff int
+	counters map[uint32]uint32
 
 	// NBT merge buffer.
 	nbtBuf []NBTRecord
@@ -67,7 +69,8 @@ func (c *Collector) Configure(numPairs int, btEnabled bool, onResult func(uint32
 	c.onResult = onResult
 	// clear keeps the map's buckets, so repeat jobs insert without growing.
 	clear(c.counters)
-	c.chunkPayload = nil
+	c.chunk = c.chunk[:0]
+	c.chunkOff = 0
 	c.nbtBuf = c.nbtBuf[:0]
 	c.resultsSeen = 0
 	c.Transactions = 0
@@ -80,7 +83,8 @@ func (c *Collector) Reset() {
 	c.btEnabled = false
 	c.rr = 0
 	c.chunkID = 0
-	c.chunkPayload = nil
+	c.chunk = c.chunk[:0]
+	c.chunkOff = 0
 	clear(c.counters)
 	c.nbtBuf = c.nbtBuf[:0]
 	c.resultsSeen = 0
@@ -92,7 +96,7 @@ func (c *Collector) Reset() {
 
 // Done reports whether every result has been seen and fully written out.
 func (c *Collector) Done() bool {
-	return c.resultsSeen >= c.numPairs && len(c.chunkPayload) == 0 && len(c.nbtBuf) == 0
+	return c.resultsSeen >= c.numPairs && c.chunkOff == len(c.chunk) && len(c.nbtBuf) == 0
 }
 
 // Tick advances the collector: at most one output transaction per cycle.
@@ -102,19 +106,27 @@ func (c *Collector) Tick() {
 		return
 	}
 	// Continue chunking the current BT block.
-	if len(c.chunkPayload) > 0 {
+	if c.chunkOff < len(c.chunk) {
 		c.emitBTChunk()
 		return
 	}
 	// Pull the next entry from the Aligners, round-robin.
 	n := len(c.aligners)
 	for i := 0; i < n; i++ {
-		a := c.aligners[(c.rr+i)%n]
+		idx := c.rr + i
+		if idx >= n {
+			idx -= n
+		}
+		a := c.aligners[idx]
 		entry, ok := a.TakeOutput()
 		if !ok {
 			continue
 		}
-		c.rr = (c.rr + i + 1) % n
+		next := idx + 1
+		if next == n {
+			next = 0
+		}
+		c.rr = next
 		c.handle(entry, a)
 		return
 	}
@@ -128,21 +140,17 @@ func (c *Collector) Tick() {
 func (c *Collector) handle(entry obEntry, a *AlignerHW) {
 	switch entry.kind {
 	case obBlock:
-		// Zero-pad the block payload to a whole number of 10-byte chunks
-		// (a 40-byte block fills exactly four transactions, Section 4.4).
-		// padBuf is safe to reuse here: Tick drains chunkPayload completely
-		// before handle sees the next block.
-		payload := entry.block
-		if rem := len(payload) % BTPayloadBytes; rem != 0 {
-			c.padBuf = c.padBuf[:0]
-			c.padBuf = append(c.padBuf, payload...)
-			for i := rem; i < BTPayloadBytes; i++ {
-				c.padBuf = append(c.padBuf, 0)
-			}
-			payload = c.padBuf
+		// Copy the block out of the Aligner's arena, which the Aligner
+		// reuses once its outbox empties, and zero-pad it to a whole number
+		// of 10-byte chunks (a 40-byte block fills exactly four
+		// transactions, Section 4.4). Tick emits the whole chunk before
+		// handle takes the next block.
+		c.chunk = append(c.chunk[:0], entry.block...)
+		for len(c.chunk)%BTPayloadBytes != 0 {
+			c.chunk = append(c.chunk, 0)
 		}
 		c.chunkID = entry.id
-		c.chunkPayload = payload
+		c.chunkOff = 0
 		c.emitBTChunk()
 	case obResult:
 		c.resultsSeen++
@@ -176,11 +184,7 @@ func (c *Collector) handle(entry obEntry, a *AlignerHW) {
 
 func (c *Collector) emitBTChunk() {
 	var t BTTransaction
-	copy(t.Payload[:], c.chunkPayload[:BTPayloadBytes])
-	c.chunkPayload = c.chunkPayload[BTPayloadBytes:]
-	if len(c.chunkPayload) == 0 {
-		c.chunkPayload = nil
-	}
+	c.chunkOff += copy(t.Payload[:], c.chunk[c.chunkOff:])
 	t.Counter = c.counters[c.chunkID]
 	t.ID = c.chunkID & BTIDMask
 	c.counters[c.chunkID]++

@@ -195,25 +195,21 @@ func UnpackScoreRecord(p [BTPayloadBytes]byte) ScoreRecord {
 }
 
 // PackOriginBlock packs the per-cell 5-bit origins of one parallel-section
-// batch into a backtrace block (Section 4.3.3: 5 x PS bits; 320 bits = 40
-// bytes in the chip). origins must have exactly PS entries; cell c occupies
-// bits [5c, 5c+5), LSB-first within the block.
-func PackOriginBlock(origins []uint8) []byte {
-	// The block escapes into the Aligner->Collector outbox and lives until
-	// the Collector finishes chunking it, so it cannot be scratch. BT
-	// streaming is the accelerator's documented slow path;
-	// TestMachineRunAllocs pins what a backtrace run allocates.
-	out := make([]byte, (5*len(origins)+7)/8) //vet:allow hotalloc per-block buffer, only allocated when backtrace streaming is enabled
+// batch into the backtrace block dst (Section 4.3.3: 5 x PS bits; 320 bits =
+// 40 bytes in the chip). dst is caller-owned and must be exactly
+// (5*len(origins)+7)/8 bytes long; its previous contents are overwritten.
+// Cell c occupies bits [5c, 5c+5), LSB-first within the block.
+func PackOriginBlock(dst []byte, origins []uint8) {
+	clear(dst)
 	for c, o := range origins {
 		bit := 5 * c
 		v := uint32(o&0x1F) << (bit % 8)
 		idx := bit / 8
-		out[idx] |= byte(v)
+		dst[idx] |= byte(v)
 		if v>>8 != 0 {
-			out[idx+1] |= byte(v >> 8)
+			dst[idx+1] |= byte(v >> 8)
 		}
 	}
-	return out
 }
 
 // OriginAt extracts the 5-bit origin of cell c from a packed block stream.

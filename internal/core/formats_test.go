@@ -72,10 +72,13 @@ func TestOriginBlockPackAndExtract(t *testing.T) {
 		for i := range origins {
 			origins[i] = uint8(r.UintN(32))
 		}
-		block := PackOriginBlock(origins)
-		if len(block) != 5*n/8 {
-			return false
+		// A dirty destination checks that packing overwrites, not ORs into,
+		// the caller's buffer.
+		block := make([]byte, 5*n/8)
+		for i := range block {
+			block[i] = 0xFF
 		}
+		PackOriginBlock(block, origins)
 		for i, want := range origins {
 			if OriginAt(block, i) != want {
 				return false

@@ -63,7 +63,7 @@ type Machine struct {
 
 	// DMA write engine state.
 	writeAddr int64
-	writeBuf  [][mem.BeatBytes]byte
+	writeBuf  sim.Queue[[mem.BeatBytes]byte]
 
 	// Fault handling. pendingAbort is staged by the DMA engines mid-tick
 	// and consumed at the end of the same Tick.
@@ -232,7 +232,7 @@ func (m *Machine) startJob() {
 	m.readBeatsLeft = int(inputBytes / mem.BeatBytes)
 	m.outstanding = 0
 	m.writeAddr = int64(r.OutputAddr)
-	m.writeBuf = m.writeBuf[:0]
+	m.writeBuf.Clear()
 	m.inFIFO.Clear()
 	m.outFIFO.Clear()
 	m.Timings = m.Timings[:0]
@@ -374,7 +374,7 @@ func (m *Machine) scrub() {
 	}
 	m.readBeatsLeft = 0
 	m.outstanding = 0
-	m.writeBuf = m.writeBuf[:0]
+	m.writeBuf.Clear()
 	m.pendingAbort = false
 }
 
@@ -457,7 +457,7 @@ func (m *Machine) dmaWrite(cycle int64) {
 		m.requestAbort(ErrCodeAXIWrite, uint64(f.Addr))
 		return
 	}
-	if len(m.writeBuf) > 0 {
+	if m.writeBuf.Len() > 0 {
 		m.wrBacklogCycles++
 	}
 	if beat, ok := m.outFIFO.Pop(); ok {
@@ -467,22 +467,18 @@ func (m *Machine) dmaWrite(cycle int64) {
 			}
 		} else {
 			m.inj.CorruptOutputBeat(cycle, beat[:])
-			m.writeBuf = append(m.writeBuf, beat)
+			m.writeBuf.Push(beat)
 		}
 	}
 	burst := m.cfg.Timing.Mem.BurstBeats
 	flush := m.extractor.Done() && m.allAlignersIdle() && m.collector.Done() && m.outFIFO.Empty()
-	if len(m.writeBuf) >= burst || (flush && len(m.writeBuf) > 0) {
-		n := len(m.writeBuf)
-		if n > burst {
-			n = burst
-		}
-		for _, b := range m.writeBuf[:n] {
+	if n := min(m.writeBuf.Len(), burst); n == burst || (flush && n > 0) {
+		for range n {
+			b, _ := m.writeBuf.Pop()
 			m.wrPort.PushWriteBeat(mem.Beat{Data: b})
 		}
 		m.wrPort.RequestWrite(m.writeAddr, n)
 		m.writeAddr += int64(n) * mem.BeatBytes
-		m.writeBuf = m.writeBuf[n:]
 	}
 }
 
@@ -500,7 +496,7 @@ func (m *Machine) jobDone() bool {
 		m.allAlignersIdle() &&
 		m.collector.Done() &&
 		m.outFIFO.Empty() &&
-		len(m.writeBuf) == 0 &&
+		m.writeBuf.Len() == 0 &&
 		m.rdPort.Idle() && m.wrPort.Idle() &&
 		m.ctl.Idle()
 }
@@ -553,8 +549,8 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
 		}
 		m.Tick()
 		if wd > 0 {
-			if sig := m.progress(); sig != last {
-				last = sig
+			if p := m.progress(); p != last {
+				last = p
 				lastChange = m.cycle
 			} else if m.cycle-lastChange >= wd {
 				return m.cycle - start, m.hangError(m.cycle - lastChange)

@@ -38,7 +38,7 @@ func TestCollectorNBTMergesFourRecords(t *testing.T) {
 	cfg := ChipConfig()
 	col, fifo, al := collectorFixture(cfg, false, 5)
 	for i := 0; i < 5; i++ {
-		al.outbox = append(al.outbox, obEntry{
+		al.outbox.Push(obEntry{
 			kind: obResult,
 			id:   uint32(i + 1),
 			res:  ScoreRecord{Success: true, Score: uint16(10 * (i + 1))},
@@ -74,10 +74,8 @@ func TestCollectorBTChunksOneBlockPerFourTransactions(t *testing.T) {
 	for i := range block {
 		block[i] = byte(i + 1)
 	}
-	al.outbox = append(al.outbox,
-		obEntry{kind: obBlock, id: 9, block: block},
-		obEntry{kind: obResult, id: 9, res: ScoreRecord{Success: true, Score: 4}},
-	)
+	al.outbox.Push(obEntry{kind: obBlock, id: 9, block: block})
+	al.outbox.Push(obEntry{kind: obResult, id: 9, res: ScoreRecord{Success: true, Score: 4}})
 	beats := drainFIFO(col, fifo, 50)
 	if len(beats) != 5 {
 		t.Fatalf("got %d transactions, want 4 payload + 1 score", len(beats))
@@ -110,10 +108,8 @@ func TestCollectorRespectsFIFOBackpressure(t *testing.T) {
 	col := NewCollector(cfg, fifo, []*AlignerHW{al})
 	col.Configure(1, true, nil)
 	block := make([]byte, cfg.BTBlockBytes())
-	al.outbox = append(al.outbox,
-		obEntry{kind: obBlock, id: 1, block: block},
-		obEntry{kind: obResult, id: 1, res: ScoreRecord{Success: true}},
-	)
+	al.outbox.Push(obEntry{kind: obBlock, id: 1, block: block})
+	al.outbox.Push(obEntry{kind: obResult, id: 1, res: ScoreRecord{Success: true}})
 	// Never pop: the collector must stall, not panic or drop.
 	for cycle := 0; cycle < 20; cycle++ {
 		col.Tick()

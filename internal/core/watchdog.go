@@ -48,36 +48,20 @@ func (m *Machine) hangError(stalled int64) error {
 	}
 }
 
-// progressSig snapshots every completion counter in the datapath. Two equal
-// snapshots mean the machine did no observable work in between; counters
-// that can advance forever without real progress (controller busy cycles)
-// are deliberately excluded.
-type progressSig struct {
-	beatsRead    int64
-	beatsWritten int64
-	inPushes     int64
-	inPops       int64
-	outPushes    int64
-	outPops      int64
-	transactions int64
-	dispatched   int
-	alignerBusy  int64
-}
-
-func (m *Machine) progress() progressSig {
-	var busy int64
+// progress sums the datapath's completion counters: DMA beats moved, FIFO
+// pushes and pops, output transactions, pairs dispatched and aligner busy
+// cycles. Every term is a lifetime counter that only ever increases, so the
+// sum changes exactly when one of them does, and a job start that zeroes
+// the per-job counters cannot cancel an increment out. Two equal sums mean
+// the machine did no observable work in between; counters that can advance
+// forever without real progress (controller busy cycles) are deliberately
+// excluded.
+func (m *Machine) progress() int64 {
+	sum := m.rdPort.BeatsRead + m.wrPort.BeatsWritten +
+		m.inFIFO.Pushes + m.inFIFO.Pops + m.outFIFO.Pushes + m.outFIFO.Pops +
+		m.collector.Emitted + m.extractor.Stats.PairsDispatched
 	for _, a := range m.aligners {
-		busy += a.Stats.BusyCycles
+		sum += a.Stats.BusyCycles
 	}
-	return progressSig{
-		beatsRead:    m.rdPort.BeatsRead,
-		beatsWritten: m.wrPort.BeatsWritten,
-		inPushes:     m.inFIFO.Pushes,
-		inPops:       m.inFIFO.Pops,
-		outPushes:    m.outFIFO.Pushes,
-		outPops:      m.outFIFO.Pops,
-		transactions: m.collector.Transactions,
-		dispatched:   m.extractor.pairsDispatched,
-		alignerBusy:  busy,
-	}
+	return sum
 }

@@ -13,10 +13,10 @@ package lint
 // survives inlining-decision churn across toolchain versions. The one place
 // it errs the other way is amortized growth: appends into slices with
 // preallocated capacity in scope, and appends into struct fields that some
-// function in the module truncate-resets (f = f[:0]), are exempt — those are
-// the sanctioned scratch-reuse patterns. scripts/escape-crosscheck.sh diffs
-// these verdicts against go build -gcflags=-m to keep the approximation
-// honest.
+// function in the module truncate-resets (f = f[:0]) and none re-slices from
+// its head (f = f[k:]), are exempt — those are the sanctioned scratch-reuse
+// patterns. scripts/escape-crosscheck.sh diffs these verdicts against
+// go build -gcflags=-m to keep the approximation honest.
 
 import (
 	"go/ast"
@@ -47,7 +47,7 @@ type AllocSite struct {
 	Pos    token.Pos
 	// Field is the struct field a growing append targets (f.buf in
 	// f.buf = append(f.buf, …)), nil otherwise. The hotalloc analyzer
-	// exempts the site when the module truncate-resets that field.
+	// exempts the site when the field is reusable scratch (ScratchAppend).
 	Field *types.Var
 }
 
@@ -343,12 +343,12 @@ func (w *cgWalker) allocMapWrite(n *FuncNode, lhs ast.Expr) {
 	}
 }
 
-// recordTruncReset notices f = f[:0] (any slice bound, zero high index is not
-// required — any re-slice of the same field is a reuse of its backing array)
-// and registers the field module-wide so hotalloc can exempt growing appends
-// into it: the pair "append into f, truncate-reset f" is the sanctioned
-// amortized scratch pattern.
-func (w *cgWalker) recordTruncReset(field *types.Var, rhs ast.Expr) {
+// recordReslice classifies a re-slice of a field onto itself. f = f[:n]
+// (any high bound) truncate-resets f: appends into it reuse its backing
+// array. f = f[k:] re-slices its head away instead (a sliding queue): the
+// dropped prefix is never reused, so appends keep growing fresh arrays as
+// the head advances. Both are registered module-wide for ScratchAppend.
+func (w *cgWalker) recordReslice(field *types.Var, rhs ast.Expr) {
 	se, ok := ast.Unparen(rhs).(*ast.SliceExpr)
 	if !ok {
 		return
@@ -357,11 +357,24 @@ func (w *cgWalker) recordTruncReset(field *types.Var, rhs ast.Expr) {
 	if base == nil || base.Origin() != field {
 		return
 	}
+	if se.Low != nil && !isZeroConst(w.p.Info, se.Low) {
+		w.b.g.headSlicedFields[field] = true
+		return
+	}
 	w.b.g.truncResetFields[field] = true
 }
 
-// TruncReset reports whether some function in the module truncate-resets the
-// field (f = f[:n]), marking it as reusable scratch.
-func (g *CallGraph) TruncReset(field *types.Var) bool {
-	return g.truncResetFields[field]
+// isZeroConst reports whether e is the constant 0.
+func isZeroConst(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	return ok && tv.Value != nil && tv.Value.String() == "0"
+}
+
+// ScratchAppend reports whether a is a growing append into reusable scratch,
+// the sanctioned amortized pattern: a struct field that some function in the
+// module truncate-resets (f = f[:n]) and none re-slices from its head
+// (f = f[k:]).
+func (g *CallGraph) ScratchAppend(a AllocSite) bool {
+	return a.Kind == AllocAppendGrow && a.Field != nil &&
+		g.truncResetFields[a.Field] && !g.headSlicedFields[a.Field]
 }

@@ -141,10 +141,13 @@ type CallGraph struct {
 	// state (sentinel errors, lookup tables) and stay legal.
 	mutatedGlobals map[*types.Var]bool
 	modulePaths    map[string]bool
-	// truncResetFields holds every struct field some function re-slices onto
-	// itself (f = f[:0]) — sanctioned reusable scratch, exempt from hotalloc's
-	// append-grow findings (allocsites.go).
+	// truncResetFields holds every struct field some function truncates onto
+	// itself (f = f[:0]); headSlicedFields every one some function re-slices
+	// from its head (f = f[k:]). A field in the first set and not the second
+	// is sanctioned reusable scratch, exempt from hotalloc's append-grow
+	// findings (allocsites.go).
 	truncResetFields map[*types.Var]bool
+	headSlicedFields map[*types.Var]bool
 }
 
 // SortedNodes returns the nodes in ID order.
@@ -178,6 +181,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		mutatedGlobals:   map[*types.Var]bool{},
 		modulePaths:      map[string]bool{},
 		truncResetFields: map[*types.Var]bool{},
+		headSlicedFields: map[*types.Var]bool{},
 	}
 	for _, p := range pkgs {
 		g.modulePaths[p.ImportPath] = true
@@ -721,7 +725,7 @@ func (w *cgWalker) assign(n *FuncNode, as *ast.AssignStmt) {
 			// Function stored into a function-typed field.
 			if !compound && i < len(as.Rhs) {
 				w.recordFieldStore(fv.Origin(), as.Rhs[i])
-				w.recordTruncReset(fv.Origin(), as.Rhs[i])
+				w.recordReslice(fv.Origin(), as.Rhs[i])
 			}
 		}
 	}

@@ -183,7 +183,7 @@ type allocSiteJSON struct {
 	Detail string `json:"detail"`
 	Line   int    `json:"line"`
 	// Exempt marks sites the hotalloc analyzer does not report even when
-	// hot: growing appends into module-wide truncate-reset scratch fields.
+	// hot: growing appends into reusable scratch fields (ScratchAppend).
 	Exempt bool `json:"exempt,omitempty"`
 }
 
@@ -233,7 +233,7 @@ func DumpAllocsJSON(g *CallGraph, root string) ([]byte, error) {
 				Kind:   a.Kind,
 				Detail: a.Detail,
 				Line:   n.Pkg.Fset.Position(a.Pos).Line,
-				Exempt: a.Kind == AllocAppendGrow && a.Field != nil && g.TruncReset(a.Field),
+				Exempt: g.ScratchAppend(a),
 			})
 		}
 		sort.Slice(dn.Allocs, func(i, j int) bool {

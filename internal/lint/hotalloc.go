@@ -26,7 +26,10 @@ package lint
 // and flows through the vet-baseline.json ratchet, so the set can shrink but
 // never silently grow. One more exemption is applied here rather than in the
 // classifier: a growing append into a struct field that some function in the
-// module truncate-resets (f = f[:0]) is amortized scratch reuse, not growth.
+// module truncate-resets (f = f[:0]) is amortized scratch reuse, not growth —
+// unless some function also re-slices the field from its head (f = f[k:]).
+// Such a sliding queue never reuses the prefix it drops, so its appends
+// re-grow as the head advances.
 
 import (
 	"strings"
@@ -112,7 +115,7 @@ func runHotalloc(g *CallGraph, pkgs []*Package) []Diagnostic {
 	for _, n := range reach.Sorted() {
 		chain := reach.Witness(n)
 		for _, a := range n.Effects.Allocs {
-			if a.Kind == AllocAppendGrow && a.Field != nil && g.TruncReset(a.Field) {
+			if g.ScratchAppend(a) {
 				continue
 			}
 			out = append(out, diagAt(n.Pkg, a.Pos,

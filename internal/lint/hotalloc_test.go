@@ -9,13 +9,13 @@ import (
 
 // TestHotallocFindings pins the hotalloc fixture: one finding per allocation
 // kind reachable from the three root shapes plus the //vet:hotpath directive
-// root, none from cold paths, exempt patterns, constants, unreached code, or
-// the //vet:allow'd site.
+// root, the sliding queue's append, and none from cold paths, exempt
+// patterns, constants, unreached code, or the //vet:allow'd site.
 func TestHotallocFindings(t *testing.T) {
 	byName := dirDiags(t, "hotalloc")
 	ds := byName["hotalloc"]
-	if len(ds) != 17 {
-		t.Fatalf("got %d hotalloc findings, want 17: %q", len(ds), messages(ds))
+	if len(ds) != 18 {
+		t.Fatalf("got %d hotalloc findings, want 18: %q", len(ds), messages(ds))
 	}
 
 	// One per classifier kind.
@@ -33,6 +33,9 @@ func TestHotallocFindings(t *testing.T) {
 	wantContains(t, ds, "(string-conv): string -> []byte")
 	wantContains(t, ds, "(map-write): write to m.seen")
 	wantContains(t, ds, "append to p.tmp")
+	// A truncate-reset field that is also re-sliced from its head is a
+	// sliding queue, not reusable scratch.
+	wantContains(t, ds, "append to m.queue")
 	// The //vet:hotpath directive root reaches its helper's append.
 	wantContains(t, ds, "append to b.trace")
 	// The witness-shaped directive root flags its reject-path append.

@@ -2,8 +2,9 @@
 // analyzer tests, plus the negative space around them: cold constructor and
 // reset paths, a //vet:coldpath directive, a //vet:hotpath directive root,
 // the two amortized-append exemptions (truncate-reset field, preallocated
-// local), a constant that boxes for free, an unreached allocating function,
-// and a //vet:allow waiver. The expected findings are pinned by
+// local), a sliding queue the field exemption must not cover, a constant that
+// boxes for free, an unreached allocating function, and a //vet:allow
+// waiver. The expected findings are pinned by
 // internal/lint/hotalloc_test.go.
 package hotalloc
 
@@ -14,6 +15,7 @@ type Machine struct {
 	name    string
 	buf     []int        // plain growing field: appends flag
 	scratch []byte       // truncate-reset scratch: appends are exempt
+	queue   []int        // sliding queue: truncate-reset but head-sliced, appends flag
 	arr     [8]int       // backing array for the prealloc-local exemption
 	seen    map[int]bool // map writes flag
 	hook    func()
@@ -37,6 +39,7 @@ func (m *Machine) Reset() {
 // append as amortized reuse.
 func (m *Machine) recycle() {
 	m.scratch = m.scratch[:0]
+	m.queue = m.queue[:0]
 }
 
 // rebuild allocates but is annotated cold, so reachability stops here.
@@ -54,6 +57,7 @@ func (m *Machine) Tick() {
 	m.litSite()
 	m.growSite()
 	m.scratchSite()
+	m.queueSite()
 	m.preallocLocal()
 	m.boxSite(len(m.name))
 	m.variadicSite(len(m.name))
@@ -89,6 +93,14 @@ func (m *Machine) growSite() {
 // scratchSite's append is exempt: recycle() truncate-resets m.scratch.
 func (m *Machine) scratchSite() {
 	m.scratch = append(m.scratch, 'x')
+}
+
+// queueSite pops by re-slicing the head away, so the array behind the
+// dropped prefix is never reused: its append flags even though recycle()
+// truncate-resets m.queue.
+func (m *Machine) queueSite() {
+	m.queue = m.queue[1:]
+	m.queue = append(m.queue, 1)
 }
 
 // preallocLocal's append is exempt: the local is bound to a slice expression

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/invariant"
+	"repro/internal/sim"
 )
 
 // Timing parameterizes the memory controller's AXI-Full service rate.
@@ -73,12 +74,12 @@ type Port struct {
 	name string
 	ctl  *Controller
 
-	pending    []request
-	delivered  []Beat // completed read beats awaiting the client
-	writeQueue []Beat // beats the client queued for an in-flight write
+	pending    sim.Queue[request]
+	delivered  sim.Queue[Beat] // completed read beats awaiting the client
+	writeQueue sim.Queue[Beat] // beats the client queued for an in-flight write
 
-	faults      []BusFault // error responses awaiting the client
-	dropDeficit int        // write beats still owed to a faulted transaction
+	faults      sim.Queue[BusFault] // error responses awaiting the client
+	dropDeficit int                 // write beats still owed to a faulted transaction
 
 	BeatsRead    int64
 	BeatsWritten int64
@@ -91,21 +92,21 @@ func (p *Port) Name() string { return p.name }
 // writeBusy reports whether the port has write-side state in flight: queued
 // or granted write transactions, or undrained write data.
 func (p *Port) writeBusy() bool {
-	for _, r := range p.pending {
-		if r.write {
+	for i := 0; i < p.pending.Len(); i++ {
+		if p.pending.At(i).write {
 			return true
 		}
 	}
 	if p.ctl.active == p && p.ctl.cur.write {
 		return true
 	}
-	return len(p.writeQueue) > 0 || p.dropDeficit > 0
+	return p.writeQueue.Len() > 0 || p.dropDeficit > 0
 }
 
 // readBusy reports whether the port has a queued or granted read transaction.
 func (p *Port) readBusy() bool {
-	for _, r := range p.pending {
-		if !r.write {
+	for i := 0; i < p.pending.Len(); i++ {
+		if !p.pending.At(i).write {
 			return true
 		}
 	}
@@ -126,7 +127,7 @@ func (p *Port) RequestRead(addr int64, beats int) {
 		invariant.Failf("mem",
 			"port %q: read issued at cycle %d while a write is in flight", p.name, p.ctl.cycle)
 	}
-	p.pending = append(p.pending, request{addr: addr, beats: beats})
+	p.pending.Push(request{addr: addr, beats: beats})
 }
 
 // RequestWrite enqueues a write transaction; the data beats must be supplied
@@ -142,7 +143,7 @@ func (p *Port) RequestWrite(addr int64, beats int) {
 		invariant.Failf("mem",
 			"port %q: write issued at cycle %d while a read is in flight", p.name, p.ctl.cycle)
 	}
-	p.pending = append(p.pending, request{addr: addr, beats: beats, write: true})
+	p.pending.Push(request{addr: addr, beats: beats, write: true})
 }
 
 // PushWriteBeat supplies the next data beat for the port's write stream.
@@ -153,61 +154,48 @@ func (p *Port) PushWriteBeat(b Beat) {
 		p.dropDeficit--
 		return
 	}
-	p.writeQueue = append(p.writeQueue, b)
+	p.writeQueue.Push(b)
 }
 
 // NextBeat pops one completed read beat, if any.
-func (p *Port) NextBeat() (Beat, bool) {
-	if len(p.delivered) == 0 {
-		return Beat{}, false
-	}
-	b := p.delivered[0]
-	p.delivered = p.delivered[1:]
-	return b, true
-}
+func (p *Port) NextBeat() (Beat, bool) { return p.delivered.Pop() }
 
 // TakeFault pops the oldest AXI error response latched on the port, if any.
-func (p *Port) TakeFault() (BusFault, bool) {
-	if len(p.faults) == 0 {
-		return BusFault{}, false
-	}
-	f := p.faults[0]
-	p.faults = p.faults[1:]
-	return f, true
-}
+func (p *Port) TakeFault() (BusFault, bool) { return p.faults.Pop() }
 
 // Reset discards all queued transactions, undelivered beats, queued write
-// data and latched faults. The statistics counters survive.
+// data and latched faults, keeping the queues' capacity for the port's next
+// transactions. The statistics counters survive.
 func (p *Port) Reset() {
-	p.pending = nil
-	p.delivered = nil
-	p.writeQueue = nil
-	p.faults = nil
+	p.pending.Clear()
+	p.delivered.Clear()
+	p.writeQueue.Clear()
+	p.faults.Clear()
 	p.dropDeficit = 0
 }
 
 // dropWriteBeats consumes n beats of the port's write stream without letting
 // them reach memory; beats not pushed yet are swallowed on arrival.
 func (p *Port) dropWriteBeats(n int) {
-	if n >= len(p.writeQueue) {
-		p.dropDeficit += n - len(p.writeQueue)
-		p.writeQueue = p.writeQueue[:0]
-		return
+	for ; n > 0; n-- {
+		if _, ok := p.writeQueue.Pop(); !ok {
+			break
+		}
 	}
-	p.writeQueue = p.writeQueue[n:]
+	p.dropDeficit += n
 }
 
 // Idle reports whether the port has no pending transactions and no undelivered
 // beats.
 func (p *Port) Idle() bool {
-	return len(p.pending) == 0 && len(p.delivered) == 0
+	return p.pending.Len() == 0 && p.delivered.Len() == 0
 }
 
 // PendingBeats reports how many beats remain across queued transactions.
 func (p *Port) PendingBeats() int {
 	n := 0
-	for _, r := range p.pending {
-		n += r.beats
+	for i := 0; i < p.pending.Len(); i++ {
+		n += p.pending.At(i).beats
 	}
 	return n
 }
@@ -278,7 +266,7 @@ func (c *Controller) Idle() bool {
 		return false
 	}
 	for _, p := range c.ports {
-		if len(p.pending) > 0 {
+		if p.pending.Len() > 0 {
 			return false
 		}
 	}
@@ -310,7 +298,7 @@ func (c *Controller) Tick() {
 	}
 	c.BusyCycles++
 	for _, p := range c.ports {
-		if p != c.active && len(p.pending) > 0 {
+		if p != c.active && p.pending.Len() > 0 {
 			p.WaitCycles++
 		}
 	}
@@ -325,13 +313,20 @@ func (c *Controller) Tick() {
 func (c *Controller) arbitrate(cycle int64) {
 	n := len(c.ports)
 	for i := 0; i < n; i++ {
-		p := c.ports[(c.rrNext+i)%n]
-		if len(p.pending) == 0 {
+		idx := c.rrNext + i
+		if idx >= n {
+			idx -= n
+		}
+		p := c.ports[idx]
+		req, ok := p.pending.Pop()
+		if !ok {
 			continue
 		}
-		req := p.pending[0]
-		p.pending = p.pending[1:]
-		c.rrNext = (c.rrNext + i + 1) % n
+		next := idx + 1
+		if next == n {
+			next = 0
+		}
+		c.rrNext = next
 		if !req.write && c.inj.LoseGrant(cycle, p.name, req.addr) {
 			// The granted transaction vanishes: no data, no response. The
 			// client's outstanding-beat accounting is now wrong and only the
@@ -345,7 +340,7 @@ func (c *Controller) arbitrate(cycle int64) {
 			if req.write {
 				p.dropWriteBeats(req.beats)
 			}
-			p.faults = append(p.faults, BusFault{Addr: req.addr, Write: req.write})
+			p.faults.Push(BusFault{Addr: req.addr, Write: req.write})
 			return
 		}
 		c.active = p
@@ -362,13 +357,12 @@ func (c *Controller) completeBeat(cycle int64) {
 	p := c.active
 	addr := c.cur.addr + int64(c.beatsDone)*BeatBytes
 	if c.cur.write {
-		if len(p.writeQueue) == 0 {
+		b, ok := p.writeQueue.Pop()
+		if !ok {
 			// Data not ready: stall until the client supplies it.
 			c.cooldown = 0
 			return
 		}
-		b := p.writeQueue[0]
-		p.writeQueue = p.writeQueue[1:]
 		b.Addr = addr
 		c.mem.WriteBeat(addr, &b.Data)
 		p.BeatsWritten++
@@ -377,7 +371,7 @@ func (c *Controller) completeBeat(cycle int64) {
 		b.Addr = addr
 		c.mem.ReadBeat(addr, &b.Data)
 		c.inj.CorruptDataBeat(cycle, p.name, addr, b.Data[:])
-		p.delivered = append(p.delivered, b)
+		p.delivered.Push(b)
 		p.BeatsRead++
 	}
 	c.beatsDone++

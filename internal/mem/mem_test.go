@@ -440,3 +440,84 @@ func TestCancelPortAbortsActiveTransaction(t *testing.T) {
 		t.Fatal("port unusable after CancelPort")
 	}
 }
+
+// Canceling a port mid-burst discards its delivered, queued and in-flight
+// beats; the reused port then serves a new read and a new write exactly, with
+// no stale beat from the canceled transactions leaking into either.
+func TestCancelPortMidBurstThenReuse(t *testing.T) {
+	m := NewMemory(1 << 12)
+	for i := 0; i < 1<<11; i++ {
+		m.Write(int64(i), []byte{byte(i * 7)})
+	}
+	c := NewController(m, DefaultTiming)
+	p := c.NewPort("dma")
+	p.RequestRead(0, 32)
+	p.RequestRead(0x200, 16)
+	// Tick into the first burst until beats are waiting undelivered.
+	for guard := 0; p.delivered.Len() < 3; guard++ {
+		if guard > 200 {
+			t.Fatal("no beats delivered")
+		}
+		c.Tick()
+	}
+	if _, ok := p.NextBeat(); !ok {
+		t.Fatal("no beat to take")
+	}
+	c.CancelPort(p)
+	if !c.Idle() || !p.Idle() || p.PendingBeats() != 0 {
+		t.Fatal("port still busy after CancelPort")
+	}
+	if _, ok := p.NextBeat(); ok {
+		t.Fatal("a canceled read's beat survived CancelPort")
+	}
+
+	// Reuse for a read: exactly the new beats, in order.
+	p.RequestRead(0x400, 4)
+	var got []byte
+	for guard := 0; !c.Idle() || !p.Idle(); guard++ {
+		if guard > 200 {
+			t.Fatal("reused read never finished")
+		}
+		c.Tick()
+		for b, ok := p.NextBeat(); ok; b, ok = p.NextBeat() {
+			got = append(got, b.Data[:]...)
+		}
+	}
+	if want := m.Read(0x400, 4*BeatBytes); !bytes.Equal(got, want) {
+		t.Fatalf("reused read:\n got % x\nwant % x", got, want)
+	}
+
+	// Cancel a write with data still queued, then reuse the port for a
+	// write: only the new beats reach memory.
+	before := m.Read(0x600, 4*BeatBytes)
+	stale := Beat{Data: [BeatBytes]byte{0xEE}}
+	for i := 0; i < 3; i++ {
+		p.PushWriteBeat(stale)
+	}
+	p.RequestWrite(0x600, 4)
+	for i := 0; i < 5; i++ {
+		c.Tick() // granted, first beat not yet due
+	}
+	if p.writeQueue.Len() != 3 {
+		t.Fatalf("%d write beats queued at cancel, want 3", p.writeQueue.Len())
+	}
+	c.CancelPort(p)
+	fresh := Beat{Data: [BeatBytes]byte{0x5A, 0xA5}}
+	p.PushWriteBeat(fresh)
+	p.RequestWrite(0x700, 1)
+	for guard := 0; !c.Idle(); guard++ {
+		if guard > 200 {
+			t.Fatal("reused write never finished")
+		}
+		c.Tick()
+	}
+	if got := m.Read(0x700, BeatBytes); !bytes.Equal(got, fresh.Data[:]) {
+		t.Fatalf("reused write stored % x, want % x", got, fresh.Data[:])
+	}
+	if !bytes.Equal(m.Read(0x600, 4*BeatBytes), before) {
+		t.Fatal("the canceled write reached memory")
+	}
+	if p.writeQueue.Len() != 0 || p.dropDeficit != 0 {
+		t.Fatalf("write state left behind: %d queued beats, deficit %d", p.writeQueue.Len(), p.dropDeficit)
+	}
+}

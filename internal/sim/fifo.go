@@ -1,5 +1,6 @@
 // Package sim provides the clocked show-ahead FIFO the accelerator model's
-// queues are built from.
+// queues are built from, and the reusing Queue behind it and the memory
+// system's transaction and beat queues.
 //
 // It follows a two-phase update discipline: writes performed during a cycle
 // become visible only after Tick(), which removes ordering artifacts between
@@ -14,7 +15,7 @@ import "repro/internal/invariant"
 // modeling the one-cycle write-to-read latency of the hardware queue.
 type FIFO[T any] struct {
 	depth  int
-	queue  []T
+	queue  Queue[T]
 	staged []T
 	// Statistics for bandwidth analysis.
 	Pushes       int64
@@ -33,17 +34,17 @@ func NewFIFO[T any](depth int) *FIFO[T] {
 func (f *FIFO[T]) Depth() int { return f.depth }
 
 // Len returns the number of words visible to the reader this cycle.
-func (f *FIFO[T]) Len() int { return len(f.queue) }
+func (f *FIFO[T]) Len() int { return f.queue.Len() }
 
 // Occupancy returns visible plus staged words (what the writer sees as
 // fullness).
-func (f *FIFO[T]) Occupancy() int { return len(f.queue) + len(f.staged) }
+func (f *FIFO[T]) Occupancy() int { return f.queue.Len() + len(f.staged) }
 
 // Full reports whether a push this cycle would overflow.
 func (f *FIFO[T]) Full() bool { return f.Occupancy() >= f.depth }
 
 // Empty reports whether the reader sees no data this cycle.
-func (f *FIFO[T]) Empty() bool { return len(f.queue) == 0 }
+func (f *FIFO[T]) Empty() bool { return f.queue.Len() == 0 }
 
 // Push stages one word; it reports false (and counts a stall) when full.
 func (f *FIFO[T]) Push(v T) bool {
@@ -58,31 +59,28 @@ func (f *FIFO[T]) Push(v T) bool {
 
 // Front returns the oldest visible word without consuming it.
 func (f *FIFO[T]) Front() (T, bool) {
-	var zero T
-	if len(f.queue) == 0 {
+	if f.queue.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	return f.queue[0], true
+	return f.queue.At(0), true
 }
 
 // Pop consumes the word exposed by Front.
 func (f *FIFO[T]) Pop() (T, bool) {
-	var zero T
-	if len(f.queue) == 0 {
-		return zero, false
+	v, ok := f.queue.Pop()
+	if ok {
+		f.Pops++
 	}
-	v := f.queue[0]
-	f.queue = f.queue[1:]
-	f.Pops++
-	return v, true
+	return v, ok
 }
 
 // Tick commits staged pushes, making them visible to the reader next cycle.
 func (f *FIFO[T]) Tick() {
-	if len(f.staged) > 0 {
-		f.queue = append(f.queue, f.staged...)
-		f.staged = f.staged[:0]
+	for _, v := range f.staged {
+		f.queue.Push(v)
 	}
+	f.staged = f.staged[:0]
 	if occ := f.Occupancy(); occ > f.MaxOccupancy {
 		f.MaxOccupancy = occ
 	}
@@ -90,8 +88,7 @@ func (f *FIFO[T]) Tick() {
 
 // Reset discards all contents and statistics.
 func (f *FIFO[T]) Reset() {
-	f.queue = f.queue[:0]
-	f.staged = f.staged[:0]
+	f.Clear()
 	f.Pushes, f.Pops, f.StallFull = 0, 0, 0
 	f.MaxOccupancy = 0
 }
@@ -100,6 +97,6 @@ func (f *FIFO[T]) Reset() {
 // hardware flush used between jobs, where the perf counters are monotone
 // over the machine's lifetime and only the data path is scrubbed.
 func (f *FIFO[T]) Clear() {
-	f.queue = f.queue[:0]
+	f.queue.Clear()
 	f.staged = f.staged[:0]
 }
